@@ -193,14 +193,15 @@ void CompositionEngine::EnsureScratch(Scratch& scratch, uint32_t j) const {
   grow(scratch.fwd_stamp);
   grow(scratch.acc_stamp);
   grow(scratch.exp_stamp);
-  grow(scratch.exit_stamp);
+  scratch.covered.resize(partition_.num_shards());
+  scratch.covered_stamp.resize(partition_.num_shards(), 0);
   // Stamp 0 is reserved for "never visited" (fresh array cells), so a wrap
   // zeroes everything and restarts at 1.
   if (++scratch.stamp == 0) {
     std::fill(scratch.fwd_stamp.begin(), scratch.fwd_stamp.end(), 0u);
     std::fill(scratch.acc_stamp.begin(), scratch.acc_stamp.end(), 0u);
     std::fill(scratch.exp_stamp.begin(), scratch.exp_stamp.end(), 0u);
-    std::fill(scratch.exit_stamp.begin(), scratch.exit_stamp.end(), 0u);
+    std::fill(scratch.covered_stamp.begin(), scratch.covered_stamp.end(), 0u);
     scratch.stamp = 1;
   }
 }
@@ -492,25 +493,32 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     }
     ShardPlan& sp = *plan.shards[sv];
     if (sp.tables) {
-      // Boundary-transition row: every intra-reachable boundary exit, one
-      // bitset scan. Skeleton entries are cross-edge heads, so v is always
-      // a boundary vertex with a valid ordinal.
+      // Boundary-transition row: every intra-reachable boundary exit.
+      // Skeleton entries are cross-edge heads, so v is always a boundary
+      // vertex with a valid ordinal.
       const int32_t ord = sp.boundary_ord[partition_.LocalOf(v)];
       const uint32_t row_idx = static_cast<uint32_t>(ord) * j + p;
+      std::vector<uint64_t>& covered = scratch.covered[sv];
+      if (scratch.covered_stamp[sv] != stamp) {
+        scratch.covered_stamp[sv] = stamp;
+        covered.assign(
+            (static_cast<uint64_t>(sp.num_boundary) * j + 63) / 64, 0);
+      }
+      // A covered entry lies in a scanned row, so its own row is a subset
+      // of that row and every exit it holds was already emitted.
+      if ((covered[row_idx / 64] >> (row_idx % 64)) & 1) continue;
       const BoundaryRow* row =
           GetRow(sp, sv, row_idx, plan, &result.table_rows_built);
       const ShardInfo& shard = partition_.shard(sv);
       for (size_t w = 0; w < row->bits.size(); ++w) {
-        uint64_t word = row->bits[w];
-        while (word != 0) {
+        uint64_t fresh = row->bits[w] & ~covered[w];
+        covered[w] |= fresh;
+        while (fresh != 0) {
           const uint32_t bit =
-              static_cast<uint32_t>(w * 64) + std::countr_zero(word);
-          word &= word - 1;
-          const VertexId exit_v = partition_.GlobalOf(sv, shard.boundary[bit / j]);
-          const uint64_t exit_pid = pid_of(exit_v, bit % j);
-          if (scratch.exit_stamp[exit_pid] == stamp) continue;
-          scratch.exit_stamp[exit_pid] = stamp;
-          emit_cross(exit_v, bit % j);
+              static_cast<uint32_t>(w * 64) + std::countr_zero(fresh);
+          fresh &= fresh - 1;
+          emit_cross(partition_.GlobalOf(sv, shard.boundary[bit / j]),
+                     bit % j);
         }
       }
     } else {

@@ -22,7 +22,12 @@
 //      per touched row and reused across probes — or, over budget, from an
 //      incremental per-probe product BFS whose visited set is shared by
 //      every entry into that shard (monotone, so a probe expands each
-//      shard's product graph at most once).
+//      shard's product graph at most once). Table hops dedup exits word-
+//      parallel: the probe ORs every scanned row into a per-shard covered
+//      set and emits cross hops only for the bits a row adds to it. An
+//      entry whose own bit is already covered is skipped without reading
+//      its row: the row that covered it starts at a state that intra-
+//      reaches the entry, so it already holds the entry's whole row.
 //   3. target-shard prefix: a reverse product BFS from (t, 0) inside
 //      shard(t) precomputes the accept set A — every product state that
 //      intra-reaches (t, 0). A skeleton entry into shard(t) answers true
@@ -38,10 +43,12 @@
 // Invalidation: transition tables are a function of one shard's intra
 // product graph and its boundary list. The engine keeps a per-shard epoch,
 // bumped by intra-shard mutations of that shard and by cross-edge changes
-// incident to it (those can re-order boundary ordinals); PreparePlan
-// lazily rebuilds exactly the stale shards' tables — the incremental
-// refresh of the affected (shard, state-pair) rows. Reseals do not bump
-// epochs (tables depend on the graph, not the index).
+// incident to it (those can re-order boundary ordinals). PreparePlan
+// replaces the whole plan of every stale shard — all of its rows are
+// dropped and rebuilt lazily on next use; shards whose epoch did not move
+// keep theirs. This happens per constraint, as each cached plan is next
+// prepared. Reseals do not bump epochs (tables depend on the graph, not
+// the index).
 //
 // Frontier cache: the phase-3 skeleton closure is a pure function of
 // (constraint, skeleton seed set, graph) — the target only decides the
@@ -194,7 +201,14 @@ class CompositionEngine {
     std::vector<uint32_t> fwd_stamp;   ///< source-shard forward BFS
     std::vector<uint32_t> acc_stamp;   ///< target-shard accept set A
     std::vector<uint32_t> exp_stamp;   ///< skeleton + on-the-fly expansion
-    std::vector<uint32_t> exit_stamp;  ///< table exits already emitted
+    /// Per table shard: union of the rows this probe scanned, laid out
+    /// like BoundaryRow::bits. Every covered exit already emitted its
+    /// cross hops, and a popped entry whose own bit is covered needs no
+    /// row of its own.
+    std::vector<std::vector<uint64_t>> covered;
+    /// Per shard: the probe stamp `covered` was last cleared for (cleared
+    /// lazily, on the probe's first table hop into the shard).
+    std::vector<uint32_t> covered_stamp;
     uint32_t stamp = 0;
     std::vector<uint64_t> fwd_queue;
     std::vector<uint64_t> acc_queue;

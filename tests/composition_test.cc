@@ -352,6 +352,48 @@ TEST(CompositionCacheIoTest, ServiceCheckpointCarriesComposeSnap) {
 }
 
 // ---------------------------------------------------------------------------
+// Covered-entry skip: a skeleton entry that an earlier table hop into its
+// shard already reached needs no transition row of its own.
+
+TEST(CoveredSetTest, CoveredEntrySkipsItsRow) {
+  // kRange over 8 vertices and 2 shards: {0..3} | {4..7}. Source 0 crosses
+  // into b1 = 4 and b2 = 5 (popped in that order); inside shard 1, 4 -a-> 5
+  // puts b2 in b1's row under a+. 6 -b-> 7 keeps 7 out of reach.
+  const Label a = 0, b = 1;
+  const DiGraph g(8,
+                  {{0, 4, a}, {0, 5, a}, {1, 2, a}, {4, 5, a}, {5, 6, a},
+                   {6, 7, b}},
+                  2);
+  const EngineParts parts = MakeParts(g, 2, PartitionPolicy::kRange);
+  ASSERT_EQ(parts.partition.ShardOf(3), 0u);
+  ASSERT_EQ(parts.partition.ShardOf(4), 1u);
+  ComposeOptions copts;
+  copts.frontier_cache_entries = 0;  // every probe walks its own skeleton
+  CompositionEngine engine(parts.partition, parts.shards, copts);
+  const RlcIndex oracle = BuildSealed(g, 2);
+  const LabelSeq seq{a};
+  const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
+  CompositionEngine::Scratch scratch;
+
+  // A shard-0 target is never accepted in shard 1, so the probe pops both
+  // entries; b2 is covered by b1's row and builds nothing.
+  const ComposeResult first = engine.ComposedQuery(0, 1, plan, scratch);
+  EXPECT_FALSE(first.reachable);
+  EXPECT_EQ(first.skeleton_hops, 2u);
+  EXPECT_EQ(first.table_rows_built, 1u);
+
+  // Source 0 has no intra edge, so every witness crosses shards and the
+  // composed answer must equal the whole-graph answer for every target.
+  uint32_t rows_built = first.table_rows_built;
+  for (VertexId t = 0; t < g.num_vertices(); ++t) {
+    const ComposeResult r = engine.ComposedQuery(0, t, plan, scratch);
+    EXPECT_EQ(r.reachable, oracle.Query(0, t, seq)) << "t=" << t;
+    rows_built += r.table_rows_built;
+  }
+  EXPECT_EQ(rows_built, 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Skeleton frontier cache: answers are bit-identical with the cache on or
 // off across the partition sweep, the counters conserve (every installed
 // frontier was a miss, and is either still cached or counted evicted),
