@@ -25,21 +25,17 @@ With --serving (for BENCH_serving.json), additionally:
      composed over the boundary skeleton, not silently routed through a
      resurrected whole-graph fallback tier,
   9. every {"record": "community"} and mode record with telemetry agrees
-     ("agree": true),
- 10. the skeleton frontier cache is live: some source's
-     serve.compose.frontier.{hits,misses} sum to > 0, and for every source
-     evictions <= misses (each eviction drops an installed frontier and
-     every install counted a miss).
+     ("agree": true).
 
 With --compose-p95 RATIO (nightly, for BENCH_serving.json), additionally:
- 11. both {"record": "compose_p95"} policies (hash, range_ordered) exist
+ 10. both {"record": "compose_p95"} policies (hash, range_ordered) exist
      with samples, and p95(hash) <= RATIO * p95(range_ordered) — the
      composed-probe tail under the composition-heavy hash partitioning
      stays within RATIO of the locality-friendly policy at equal shard
      count.
 
 With --memory N (for BENCH_serving.json from an N-shard run), additionally:
-  12. a {"record": "memory"} summary exists whose
+  11. a {"record": "memory"} summary exists whose
       aggregate_shard_index_bytes / whole_index_bytes <= 1.3 / N — the
       sharded deployment actually divides index memory instead of
       duplicating it.
@@ -102,28 +98,6 @@ def check_serving(path: str, records: list) -> None:
             if rec.get("agree") is not True:
                 fail(f"{path}: record {rec.get('record') or rec.get('mode')!r} "
                      "disagrees with the whole-graph oracle")
-
-    # The skeleton frontier cache must be live in at least one exporting
-    # service, and its counters must conserve per source: every eviction
-    # drops an installed frontier, every install counted a miss.
-    by_source: dict = {}
-    for rec in records:
-        if rec.get("record") == "metric" and rec.get("type") == "counter":
-            by_source.setdefault(rec.get("source", "global"), {})[
-                rec.get("metric")] = rec.get("value", 0)
-    frontier_live = 0
-    for source, cs in by_source.items():
-        hits = cs.get("serve.compose.frontier.hits", 0)
-        misses = cs.get("serve.compose.frontier.misses", 0)
-        evictions = cs.get("serve.compose.frontier.evictions", 0)
-        frontier_live += hits + misses
-        if evictions > misses:
-            fail(f"{path}: source {source!r} has frontier evictions "
-                 f"{evictions} > misses {misses} — the cache evicted "
-                 "entries it never installed")
-    if frontier_live <= 0:
-        fail(f"{path}: serve.compose.frontier.{{hits,misses}} are zero "
-             "everywhere — the skeleton frontier cache was bypassed")
 
     compose = {k: v for k, v in counters.items()
                if k.startswith("serve.compose.") and v > 0}

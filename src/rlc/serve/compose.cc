@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "rlc/obs/metrics.h"
 #include "rlc/util/common.h"
@@ -44,13 +43,7 @@ CompositionEngine::CompositionEngine(
     : partition_(partition),
       shards_(shards),
       options_(options),
-      epochs_(partition.num_shards(), 0),
-      expand_heat_(partition.num_shards()),
-      pop_heat_(partition.num_shards()),
-      overrun_heat_(partition.num_shards()),
-      effective_budget_(partition.num_shards(), options.table_budget_nodes),
-      budget_epochs_(partition.num_shards(), 0),
-      cold_rounds_(partition.num_shards(), 0) {
+      epochs_(partition.num_shards(), 0) {
   for (uint32_t s = 0; s < partition.num_shards(); ++s) {
     num_vertices_ += static_cast<VertexId>(partition.shard(s).global_of.size());
   }
@@ -59,11 +52,10 @@ CompositionEngine::CompositionEngine(
 void CompositionEngine::BuildShardPlan(Plan& plan, uint32_t s) {
   auto sp = std::make_unique<ShardPlan>();
   sp->epoch = epochs_[s];
-  sp->budget_epoch = budget_epochs_[s];
   const ShardInfo& shard = partition_.shard(s);
   sp->num_boundary = static_cast<uint32_t>(shard.boundary.size());
   const uint64_t states = static_cast<uint64_t>(sp->num_boundary) * plan.j;
-  sp->tables = states > 0 && states <= effective_budget_[s];
+  sp->tables = states > 0 && states <= options_.table_budget_nodes;
   if (sp->tables) {
     sp->boundary_ord.assign(shard.graph.num_vertices(), -1);
     for (uint32_t i = 0; i < sp->num_boundary; ++i) {
@@ -94,95 +86,13 @@ const CompositionEngine::Plan& CompositionEngine::PreparePlan(
   Plan& plan = *it->second;
   uint32_t stale = 0;
   for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-    if (plan.shards[s]->epoch != epochs_[s] ||
-        plan.shards[s]->budget_epoch != budget_epochs_[s]) {
+    if (plan.shards[s]->epoch != epochs_[s]) {
       BuildShardPlan(plan, s);
       ++stale;
     }
   }
   if (invalidated) *invalidated = stale;
   return plan;
-}
-
-size_t CompositionEngine::InvalidateAll() {
-  plans_.clear();
-  std::lock_guard<std::mutex> lock(frontier_mu_);
-  size_t dropped = 0;
-  for (auto it = frontiers_.begin(); it != frontiers_.end();) {
-    if (it->second->building) {
-      // An in-flight builder owns its placeholder; it installs (or aborts)
-      // after we return and stays consistent — mutation epochs, not this
-      // wholesale flush, are what guard staleness.
-      ++it;
-      continue;
-    }
-    frontier_lru_.erase(it->second->lru_it);
-    it = frontiers_.erase(it);
-    ++dropped;
-  }
-  return dropped;
-}
-
-size_t CompositionEngine::num_cached_frontiers() const {
-  std::lock_guard<std::mutex> lock(frontier_mu_);
-  return frontier_lru_.size();
-}
-
-void CompositionEngine::EraseFrontierLocked(
-    std::unordered_map<FrontierKey, std::shared_ptr<Frontier>,
-                       FrontierKeyHash>::iterator it) const {
-  if (!it->second->building) frontier_lru_.erase(it->second->lru_it);
-  frontiers_.erase(it);
-}
-
-BudgetAdaptation CompositionEngine::AdaptTableBudgets(bool force_round) {
-  BudgetAdaptation out;
-  if (!options_.adaptive_tables || options_.hot_budget_multiplier <= 1) {
-    return out;
-  }
-  if (!force_round && probes_since_adapt_.load(std::memory_order_relaxed) <
-                          options_.adapt_min_probes) {
-    return out;
-  }
-  probes_since_adapt_.store(0, std::memory_order_relaxed);
-  const uint64_t hot = options_.hot_expand_threshold != 0
-                           ? options_.hot_expand_threshold
-                           : 4ull * options_.table_budget_nodes;
-  const uint64_t boosted_budget = std::min<uint64_t>(
-      static_cast<uint64_t>(options_.table_budget_nodes) *
-          options_.hot_budget_multiplier,
-      ~uint32_t{0});
-  for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-    const uint64_t expanded =
-        expand_heat_[s].exchange(0, std::memory_order_relaxed);
-    const uint64_t pops = pop_heat_[s].exchange(0, std::memory_order_relaxed);
-    const uint64_t overruns =
-        overrun_heat_[s].exchange(0, std::memory_order_relaxed);
-    const bool boosted = effective_budget_[s] != options_.table_budget_nodes;
-    if (!boosted) {
-      // Hot = heavy on-the-fly expansion (the work tables would replace) or
-      // any probe-budget overrun attributed to this shard.
-      if (expanded >= hot || overruns > 0) {
-        effective_budget_[s] = static_cast<uint32_t>(boosted_budget);
-        ++budget_epochs_[s];
-        cold_rounds_[s] = 0;
-        ++out.boosts;
-      }
-    } else if (expanded == 0 && pops == 0 && overruns == 0) {
-      // A boosted shard stops expanding on the fly by design, so pops are
-      // the keep-alive signal; only a shard whose tables nobody entered
-      // counts as cold.
-      if (++cold_rounds_[s] >= options_.cold_release_rounds) {
-        effective_budget_[s] = options_.table_budget_nodes;
-        ++budget_epochs_[s];
-        cold_rounds_[s] = 0;
-        ++out.releases;
-      }
-    } else {
-      cold_rounds_[s] = 0;
-    }
-  }
-  return out;
 }
 
 void CompositionEngine::EnsureScratch(Scratch& scratch, uint32_t j) const {
@@ -278,7 +188,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
                                                Scratch& scratch,
                                                const Deadline& deadline) const {
   ComposeResult result;
-  probes_since_adapt_.fetch_add(1, std::memory_order_relaxed);
   const uint32_t j = plan.j;
   EnsureScratch(scratch, j);
   const uint32_t stamp = scratch.stamp;
@@ -395,88 +304,14 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     result.expanded += static_cast<uint32_t>(scratch.acc_queue.size());
   }
 
-  // Frontier cache: the exhaustive phase-3 closure is a pure function of
-  // (constraint, seed set, graph), so probes sharing the (sorted) seed set
-  // share one frontier. Lookup runs after phase 2 because a hit still
-  // needs this probe's accept set — the answer is then a scan of the
-  // frontier's shard(t) slice against acc_stamp, no skeleton BFS at all.
-  // Builds are single-flight: exactly one prober computes each key, so
-  // hop/expansion counter totals stay identical for every thread count.
-  std::shared_ptr<Frontier> built;  // non-null → this call is the builder
-  FrontierKey key;
-  if (options_.frontier_cache_entries > 0) {
-    key.seq = plan.seq;
-    key.seeds.assign(scratch.skel_queue.begin(), scratch.skel_queue.end());
-    std::sort(key.seeds.begin(), key.seeds.end());
-    const uint64_t mepoch = mutation_epoch_.load(std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lk(frontier_mu_);
-    for (;;) {
-      auto it = frontiers_.find(key);
-      if (it == frontiers_.end()) {
-        built = std::make_shared<Frontier>();
-        built->epoch = mepoch;
-        frontiers_.emplace(key, built);
-        break;
-      }
-      std::shared_ptr<Frontier> f = it->second;
-      if (!f->building && f->epoch != mepoch) {
-        // Built against a pre-mutation graph: drop it and rebuild.
-        EraseFrontierLocked(it);
-        ++result.frontier_evictions;
-        continue;
-      }
-      if (f->building) {
-        // Single-flight wait for the in-flight builder (its completion is
-        // a hit; its abort sends the first waiter to build).
-        if (bounded) {
-          const uint64_t rem = deadline.RemainingNs(obs::NowNanos());
-          if (rem == 0) {
-            result.timed_out = true;
-            return result;
-          }
-          frontier_cv_.wait_for(lk, std::chrono::nanoseconds(std::min<uint64_t>(
-                                        rem, uint64_t{1000000})));
-        } else {
-          frontier_cv_.wait(lk);
-        }
-        continue;  // the map may have changed; re-resolve the key
-      }
-      // Hit: the frontier is exhaustive, so reachability is "some entry in
-      // shard(t) lies in this probe's accept set".
-      frontier_lru_.splice(frontier_lru_.begin(), frontier_lru_, f->lru_it);
-      lk.unlock();
-      result.frontier_hit = true;
-      for (const uint64_t epid : f->by_shard[st]) {
-        if (scratch.acc_stamp[epid] == stamp) {
-          result.reachable = true;
-          break;
-        }
-      }
-      return result;
-    }
-  }
-  const bool exhaustive = built != nullptr;
-  // A builder that bails (deadline) must clear its placeholder so waiters
-  // wake and one of them takes over the build.
-  const auto abort_build = [&]() {
-    if (!exhaustive) return;
-    std::lock_guard<std::mutex> lk(frontier_mu_);
-    auto it = frontiers_.find(key);
-    if (it != frontiers_.end() && it->second == built) frontiers_.erase(it);
-    frontier_cv_.notify_all();
-  };
-
   // Phase 3 — skeleton BFS. Entries are checked against A at pop time;
   // that is complete because A is intra-closed: any state an expansion
   // marks inside shard(t) that lies in A puts its own entry in A, and that
   // entry's pop already answered true (so exp-stamp dedup of later entries
-  // cannot hide an accepting one). A frontier build runs the identical
-  // loop minus the early exit (the cache stores the full closure); the
-  // builder's own answer is the same pop-time accept check.
+  // cannot hide an accepting one).
   for (size_t head = 0; head < scratch.skel_queue.size(); ++head) {
     if (deadline_hit()) {
       result.timed_out = true;
-      abort_build();
       return result;
     }
     const uint64_t pid = scratch.skel_queue[head];
@@ -484,12 +319,9 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     const uint32_t p = static_cast<uint32_t>(pid % j);
     ++result.skeleton_hops;
     const uint32_t sv = partition_.ShardOf(v);
-    pop_heat_[sv].fetch_add(1, std::memory_order_relaxed);
     if (sv == st && scratch.acc_stamp[pid] == stamp) {
       result.reachable = true;
-      if (!exhaustive) return result;
-      // Building: keep walking (and still expand this entry) so the cached
-      // frontier is the full closure, valid for any future target.
+      return result;
     }
     ShardPlan& sp = *plan.shards[sv];
     if (sp.tables) {
@@ -533,9 +365,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
         if (deadline_hit()) {
           result.timed_out = true;
           result.expanded += static_cast<uint32_t>(scratch.exp_queue.size());
-          expand_heat_[sv].fetch_add(scratch.exp_queue.size(),
-                                     std::memory_order_relaxed);
-          abort_build();
           return result;
         }
         const uint64_t epid = scratch.exp_queue[eh];
@@ -559,37 +388,11 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
         }
       }
       result.expanded += static_cast<uint32_t>(scratch.exp_queue.size());
-      expand_heat_[sv].fetch_add(scratch.exp_queue.size(),
-                                 std::memory_order_relaxed);
     }
-  }
-
-  if (exhaustive) {
-    // skel_queue now holds every popped entry (append-only queue, fully
-    // drained) — exactly the frontier. Group by shard and publish.
-    built->hops = static_cast<uint32_t>(scratch.skel_queue.size());
-    built->by_shard.assign(partition_.num_shards(), {});
-    for (const uint64_t epid : scratch.skel_queue) {
-      const VertexId ev = static_cast<VertexId>(epid / j);
-      built->by_shard[partition_.ShardOf(ev)].push_back(epid);
-    }
-    std::lock_guard<std::mutex> lk(frontier_mu_);
-    auto it = frontiers_.find(key);
-    if (it != frontiers_.end() && it->second == built) {
-      built->building = false;
-      frontier_lru_.push_front(key);
-      built->lru_it = frontier_lru_.begin();
-      result.frontier_miss = true;
-      while (frontier_lru_.size() > options_.frontier_cache_entries) {
-        auto vit = frontiers_.find(frontier_lru_.back());
-        EraseFrontierLocked(vit);
-        ++result.frontier_evictions;
-      }
-    }
-    frontier_cv_.notify_all();
   }
   return result;
 }
+
 
 bool CompositionEngine::IntraProductReaches(VertexId s, VertexId t,
                                             const LabelSeq& seq,
@@ -791,16 +594,6 @@ uint64_t CompositionEngine::MemoryBytes() const {
       }
       bytes += sp.build_stamp.capacity() * sizeof(uint32_t);
       bytes += sp.build_queue.capacity() * sizeof(uint64_t);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(frontier_mu_);
-    for (const auto& [key, f] : frontiers_) {
-      // The key lives twice (map node + LRU list node).
-      bytes += sizeof(Frontier) + 2 * key.seeds.capacity() * sizeof(uint64_t);
-      for (const auto& slice : f->by_shard) {
-        bytes += slice.capacity() * sizeof(uint64_t);
-      }
     }
   }
   return bytes;

@@ -50,44 +50,16 @@
 // prepared. Reseals do not bump epochs (tables depend on the graph, not
 // the index).
 //
-// Frontier cache: the phase-3 skeleton closure is a pure function of
-// (constraint, skeleton seed set, graph) — the target only decides the
-// early exit. Probes that share a seed set (100 probes fanning out of one
-// source shard under one MR typically collapse to a handful of exit sets)
-// therefore share one exhaustively-computed frontier: the set of every
-// skeleton entry reachable from the seeds, grouped by shard. A hit
-// replaces the whole skeleton BFS with a stamped-array scan of the
-// frontier's target-shard slice against the accept set; answers are
-// bit-identical with the cache on or off. Builds are single-flight (the
-// first prober builds, contemporaries wait on the published entry), which
-// keeps the skeleton-hop/expansion counter totals identical for every
-// thread count. Entries are tagged with the engine's mutation epoch —
-// OnIntraMutation/OnCrossMutation invalidate every cached frontier, since
-// a frontier depends on the whole graph, not one shard.
-//
-// Adaptive table budgets: per-shard on-the-fly expansion volume and
-// probe-budget overruns accumulate as heat; AdaptTableBudgets() (owner
-// thread) boosts a hot shard's effective budget by hot_budget_multiplier
-// so its transition tables materialize even when the boundary product
-// graph exceeds the static budget, and releases the boost (dropping the
-// tables on the next plan refresh) after cold_release_rounds quiet
-// rounds. Budget changes never change answers — tables and on-the-fly
-// expansion compute the same closure.
-//
-// Thread contract: PreparePlan, mutation notifications, AdaptTableBudgets
-// and cache serialization are owner-thread-only. ComposedQuery and
+// Thread contract: PreparePlan, mutation notifications and cache
+// serialization are owner-thread-only. ComposedQuery and
 // IntraProductReaches on a prepared plan are safe to fan out across a
 // worker pool (per-call Scratch; lazy row construction is published with
-// acquire/release atomics under a per-shard build mutex; the frontier
-// cache is guarded by its own mutex + condition variable).
+// acquire/release atomics under a per-shard build mutex).
 
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -105,32 +77,11 @@ struct ComposeOptions {
   /// A shard's transition table is materialized only when its boundary
   /// product graph (|B_S| * |L|) has at most this many states; larger
   /// shards expand on the fly per probe. Bounds table memory at
-  /// budget^2 bits per (shard, constraint). Hot shards get a boosted
-  /// budget (see adaptive_tables).
+  /// budget^2 bits per (shard, constraint).
   uint32_t table_budget_nodes = 2048;
   /// Plan-cache capacity (distinct constraints); the cache flushes when
   /// full, mirroring the service's constraint memo.
   size_t max_cached_plans = 1 << 12;
-  /// Skeleton frontier cache capacity in entries (distinct (constraint,
-  /// seed-set) keys, LRU-evicted, epoch-invalidated by mutations).
-  /// 0 disables the cache; answers are identical either way.
-  size_t frontier_cache_entries = 1024;
-  /// Adaptive table budgets: boost hot shards past table_budget_nodes,
-  /// release cold boosts. Off = the static budget for every shard.
-  bool adaptive_tables = true;
-  /// Effective budget of a boosted shard = table_budget_nodes * this.
-  /// Values <= 1 disable adaptivity.
-  uint32_t hot_budget_multiplier = 8;
-  /// A shard is hot once it expanded at least this many product states on
-  /// the fly since the last adapt round (0 = 4 * table_budget_nodes).
-  /// Any probe-budget overrun attributed to the shard also marks it hot.
-  uint64_t hot_expand_threshold = 0;
-  /// A boosted shard whose tables went untouched for this many consecutive
-  /// adapt rounds releases its boost (tables drop on the next refresh).
-  uint32_t cold_release_rounds = 4;
-  /// An adapt round only evaluates after at least this many composed
-  /// probes, so scalar callers can invoke AdaptTableBudgets() per probe.
-  uint64_t adapt_min_probes = 64;
 };
 
 /// Telemetry of one composed probe (the caller folds these into its
@@ -141,19 +92,9 @@ struct ComposeResult {
   /// probe carries no answer. Overrun is bounded by one deadline-check
   /// stride (kDeadlineCheckStride pops) or one table-row build.
   bool timed_out = false;
-  bool frontier_hit = false;   ///< answered from a cached frontier
-  bool frontier_miss = false;  ///< this call built + cached a frontier
   uint32_t skeleton_hops = 0;  ///< skeleton entries popped
   uint32_t expanded = 0;       ///< product states visited on the fly
   uint32_t table_rows_built = 0;  ///< transition rows built by this call
-  uint32_t frontier_evictions = 0;  ///< cache entries this call dropped
-                                    ///< (stale, replaced, or LRU capacity)
-};
-
-/// What one AdaptTableBudgets() round changed.
-struct BudgetAdaptation {
-  uint32_t boosts = 0;    ///< shards granted the boosted budget
-  uint32_t releases = 0;  ///< boosted shards released back to static
 };
 
 class CompositionEngine {
@@ -174,7 +115,6 @@ class CompositionEngine {
   /// PreparePlan installs the struct.
   struct ShardPlan {
     uint64_t epoch = 0;        ///< engine shard epoch at build time
-    uint64_t budget_epoch = 0;  ///< shard budget epoch at build time
     bool tables = false;       ///< boundary product graph within budget
     uint32_t num_boundary = 0;
     /// local id -> boundary ordinal, -1 interior (tables only).
@@ -250,44 +190,14 @@ class CompositionEngine {
                            bool* timed_out = nullptr) const;
 
   /// Mutation notifications (owner thread): bump the affected shards'
-  /// epochs so stale tables refresh on next PreparePlan, and the global
-  /// mutation epoch so cached skeleton frontiers (functions of the whole
-  /// graph) lazily invalidate.
-  void OnIntraMutation(uint32_t shard) {
-    ++epochs_[shard];
-    mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// epochs so stale tables refresh on next PreparePlan.
+  void OnIntraMutation(uint32_t shard) { ++epochs_[shard]; }
   void OnCrossMutation(uint32_t src_shard, uint32_t dst_shard) {
     ++epochs_[src_shard];
     if (dst_shard != src_shard) ++epochs_[dst_shard];
-    mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// Drops every cached plan and cached frontier (recovery / wholesale
-  /// rebuild). Returns how many cached frontiers were dropped so the
-  /// caller can fold them into its eviction counter.
-  size_t InvalidateAll();
-
-  /// One budget-adaptation round (owner thread, between batches): drains
-  /// the per-shard heat gathered since the last round, boosts hot shards'
-  /// effective table budgets and releases cold boosts. No-op until
-  /// adapt_min_probes composed probes ran, unless `force_round`.
-  BudgetAdaptation AdaptTableBudgets(bool force_round = false);
-
-  /// Current effective table budget of `shard` (owner thread; gauge
-  /// export and tests).
-  uint32_t EffectiveTableBudget(uint32_t shard) const {
-    return effective_budget_[shard];
-  }
-  bool ShardBoosted(uint32_t shard) const {
-    return effective_budget_[shard] != options_.table_budget_nodes;
-  }
-
-  /// Attributes one probe-budget overrun to `shard` (thread-safe) —
-  /// overrun evidence marks the shard hot for the next adapt round.
-  void NoteShardOverrun(uint32_t shard) {
-    if (shard < overrun_heat_.size())
-      overrun_heat_[shard].fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Drops every cached plan with its transition tables.
+  void InvalidateAll() { plans_.clear(); }
 
   /// Serializes the built transition rows (warm-cache checkpoint payload;
   /// index_io.h frames it into a file). Deterministic for a fixed cache
@@ -302,48 +212,11 @@ class CompositionEngine {
 
   const ComposeOptions& options() const { return options_; }
   size_t num_cached_plans() const { return plans_.size(); }
-  /// Installed (fully built) frontier-cache entries right now.
-  size_t num_cached_frontiers() const;
 
-  /// Heap footprint of the plan cache (tables, ordinal maps) and the
-  /// frontier cache in bytes.
+  /// Heap footprint of the plan cache (tables, ordinal maps) in bytes.
   uint64_t MemoryBytes() const;
 
  private:
-  /// Cache key of one skeleton frontier: the constraint plus the sorted,
-  /// deduplicated skeleton seed set (global product-state ids). The seed
-  /// set already encodes the source shard and entry states, so probes
-  /// from different sources that induce the same seeds legitimately
-  /// share a frontier.
-  struct FrontierKey {
-    LabelSeq seq;
-    std::vector<uint64_t> seeds;
-    bool operator==(const FrontierKey& o) const {
-      return seq == o.seq && seeds == o.seeds;
-    }
-  };
-  struct FrontierKeyHash {
-    size_t operator()(const FrontierKey& k) const {
-      size_t h = LabelSeqHash{}(k.seq);
-      for (uint64_t s : k.seeds) {
-        h ^= std::hash<uint64_t>{}(s) + 0x9e3779b97f4a7c15ull + (h << 6) +
-             (h >> 2);
-      }
-      return h;
-    }
-  };
-  /// One cached frontier: every skeleton entry reachable from the seeds,
-  /// grouped by shard. `building` entries are placeholders owned by the
-  /// in-flight builder (single-flight); they are not in the LRU list and
-  /// readers wait on frontier_cv_ until the build completes or aborts.
-  struct Frontier {
-    uint64_t epoch = 0;  ///< mutation_epoch_ at build begin
-    bool building = true;
-    uint32_t hops = 0;  ///< skeleton pops the build cost (telemetry)
-    std::vector<std::vector<uint64_t>> by_shard;  ///< entry pids per shard
-    std::list<FrontierKey>::iterator lru_it;      ///< valid when !building
-  };
-
   /// (Re)creates the per-shard plan for shard `s` of `plan`.
   void BuildShardPlan(Plan& plan, uint32_t s);
 
@@ -355,45 +228,12 @@ class CompositionEngine {
 
   void EnsureScratch(Scratch& scratch, uint32_t j) const;
 
-  /// Erases `it` from the frontier map (and the LRU list when installed).
-  /// Caller holds frontier_mu_.
-  void EraseFrontierLocked(
-      std::unordered_map<FrontierKey, std::shared_ptr<Frontier>,
-                         FrontierKeyHash>::iterator it) const;
-
   const GraphPartition& partition_;
   const std::vector<std::unique_ptr<DynamicRlcIndex>>& shards_;
   ComposeOptions options_;
   std::vector<uint64_t> epochs_;
   std::unordered_map<LabelSeq, std::unique_ptr<Plan>, LabelSeqHash> plans_;
   VertexId num_vertices_ = 0;
-
-  /// Global mutation epoch: any graph mutation invalidates every cached
-  /// frontier (read by worker threads at lookup, hence atomic).
-  std::atomic<uint64_t> mutation_epoch_{0};
-
-  /// Frontier cache (guarded by frontier_mu_; mutable because lookups
-  /// from const ComposedQuery mutate LRU order and single-flight state).
-  mutable std::mutex frontier_mu_;
-  mutable std::condition_variable frontier_cv_;
-  mutable std::unordered_map<FrontierKey, std::shared_ptr<Frontier>,
-                             FrontierKeyHash>
-      frontiers_;
-  mutable std::list<FrontierKey> frontier_lru_;  ///< front = most recent
-
-  /// Per-shard heat drained by AdaptTableBudgets (relaxed; written by
-  /// worker threads during probes).
-  mutable std::vector<std::atomic<uint64_t>> expand_heat_;
-  mutable std::vector<std::atomic<uint64_t>> pop_heat_;
-  mutable std::vector<std::atomic<uint64_t>> overrun_heat_;
-  mutable std::atomic<uint64_t> probes_since_adapt_{0};
-
-  /// Owner-thread budget state: effective per-shard budget, the epoch that
-  /// forces a plan refresh when the budget changes, and the consecutive
-  /// quiet rounds of each boosted shard.
-  std::vector<uint32_t> effective_budget_;
-  std::vector<uint64_t> budget_epochs_;
-  std::vector<uint32_t> cold_rounds_;
 };
 
 }  // namespace rlc

@@ -95,12 +95,6 @@ struct AnswerBatch {
   uint64_t num_degraded = 0;  ///< probes answered exactly by index-free
                               ///< evaluation because their shard was broken/
                               ///< breaker-open (sharded executor only; kOk)
-  uint64_t num_frontier_hits = 0;    ///< composed probes answered from a
-                                     ///< cached skeleton frontier (sharded
-                                     ///< executor only)
-  uint64_t num_frontier_misses = 0;  ///< composed probes that built + cached
-                                     ///< a skeleton frontier (sharded
-                                     ///< executor only)
 
   bool all_ok() const {
     return num_deadline_exceeded == 0 && num_shedded == 0 &&

@@ -27,11 +27,6 @@ ShardedRlcService::ServiceCounters::ServiceCounters(obs::Registry& reg)
       compose_table_builds(reg.GetCounter("serve.compose.table_builds")),
       compose_invalidations(reg.GetCounter("serve.compose.invalidations")),
       compose_expanded(reg.GetCounter("serve.compose.expanded")),
-      frontier_hits(reg.GetCounter("serve.compose.frontier.hits")),
-      frontier_misses(reg.GetCounter("serve.compose.frontier.misses")),
-      frontier_evictions(reg.GetCounter("serve.compose.frontier.evictions")),
-      budget_boosts(reg.GetCounter("serve.compose.budget.boosts")),
-      budget_releases(reg.GetCounter("serve.compose.budget.releases")),
       batches(reg.GetCounter("serve.batches")),
       batch_groups(reg.GetCounter("serve.batch_groups")),
       seq_cache_flushes(reg.GetCounter("serve.seq_cache_flushes")),
@@ -71,11 +66,6 @@ ServiceStats ShardedRlcService::stats() const {
   s.compose_table_builds = c_.compose_table_builds.Value();
   s.compose_invalidations = c_.compose_invalidations.Value();
   s.compose_expanded = c_.compose_expanded.Value();
-  s.frontier_hits = c_.frontier_hits.Value();
-  s.frontier_misses = c_.frontier_misses.Value();
-  s.frontier_evictions = c_.frontier_evictions.Value();
-  s.compose_budget_boosts = c_.budget_boosts.Value();
-  s.compose_budget_releases = c_.budget_releases.Value();
   s.batches = c_.batches.Value();
   s.batch_groups = c_.batch_groups.Value();
   s.seq_cache_flushes = c_.seq_cache_flushes.Value();
@@ -111,14 +101,9 @@ ShardedRlcService::ShardedRlcService(const DiGraph& g, ServiceOptions options)
   partition_ = GraphPartition::Build(g_, options_.partition);
   partition_seconds_ = timer.ElapsedSeconds();
   shard_compose_.reserve(partition_.num_shards());
-  shard_budget_gauges_.reserve(partition_.num_shards());
   for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
     shard_compose_.push_back(
         &metrics_.GetCounter("serve.compose.shard." + std::to_string(s)));
-    shard_budget_gauges_.push_back(
-        &metrics_.GetGauge("serve.compose.table_budget." + std::to_string(s)));
-    shard_budget_gauges_.back()->Set(
-        static_cast<int64_t>(options_.compose.table_budget_nodes));
   }
 
   // One breaker per shard + one for the composition engine, each with its
@@ -554,23 +539,15 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
       if (r.table_rows_built > 0) {
         c_.compose_table_builds.Add(r.table_rows_built);
       }
-      if (r.frontier_hit) c_.frontier_hits.Inc();
-      if (r.frontier_miss) c_.frontier_misses.Inc();
-      if (r.frontier_evictions > 0) {
-        c_.frontier_evictions.Add(r.frontier_evictions);
-      }
     }
     const uint64_t elapsed = timed ? obs::NowNanos() - t0 : 0;
     if (probe_timed_out) {
       // The budget expired *inside* the traversal: the probe carries no
       // answer (overrun bounded by one deadline-check stride). The overrun
-      // is compose-breaker failure evidence and marks the source shard hot
-      // for budget adaptation.
+      // is compose-breaker failure evidence.
       c_.compose_overruns.Inc();
       c_.deadline_exceeded.Inc();
-      compose_->NoteShardOverrun(source_shard);
       BreakerFail(compose_breaker_);
-      RunBudgetAdaptation();
       throw UnavailableError(
           "ShardedRlcService: composed probe exceeded probe_budget_ns");
     }
@@ -581,12 +558,10 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
       // breaker — sustained slowness trips it into fail-fast instead of
       // latency collapse.
       c_.compose_overruns.Inc();
-      compose_->NoteShardOverrun(source_shard);
       BreakerFail(compose_breaker_);
     } else {
       BreakerOk(compose_breaker_);
     }
-    RunBudgetAdaptation();
     return answer;
   } catch (const UnavailableError&) {
     throw;
@@ -594,17 +569,6 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
     BreakerFail(compose_breaker_);
     throw UnavailableError(
         std::string("ShardedRlcService: composed probe failed: ") + e.what());
-  }
-}
-
-void ShardedRlcService::RunBudgetAdaptation(bool force_round) {
-  const BudgetAdaptation adapted = compose_->AdaptTableBudgets(force_round);
-  if (adapted.boosts == 0 && adapted.releases == 0) return;
-  if (adapted.boosts > 0) c_.budget_boosts.Add(adapted.boosts);
-  if (adapted.releases > 0) c_.budget_releases.Add(adapted.releases);
-  for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-    shard_budget_gauges_[s]->Set(
-        static_cast<int64_t>(compose_->EffectiveTableBudget(s)));
   }
 }
 
@@ -943,10 +907,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
       const size_t round =
           std::min(plan_cap, pending_seqs.size() - seq_pos);
       if (compose_->num_cached_plans() + round > plan_cap) {
-        const size_t dropped = compose_->InvalidateAll();
-        if (dropped > 0) {
-          c_.frontier_evictions.Add(static_cast<uint64_t>(dropped));
-        }
+        compose_->InvalidateAll();
       }
       std::vector<const CompositionEngine::Plan*> plans(seqs.size(), nullptr);
       uint32_t invalidated_total = 0;
@@ -983,9 +944,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         uint64_t expanded = 0;
         uint64_t rows_built = 0;
         uint64_t overruns = 0;
-        uint64_t frontier_hits = 0;
-        uint64_t frontier_misses = 0;
-        uint64_t frontier_evictions = 0;
         bool ran = false;
         bool failed = false;
       };
@@ -1042,20 +1000,16 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
               jb.hops += r.skeleton_hops;
               jb.expanded += r.expanded;
               jb.rows_built += r.table_rows_built;
-              if (r.frontier_hit) ++jb.frontier_hits;
-              if (r.frontier_miss) ++jb.frontier_misses;
-              jb.frontier_evictions += r.frontier_evictions;
             }
             const uint64_t elapsed = timed_probes ? obs::NowNanos() - t0 : 0;
             if (probe_timed_out) {
               // Aborted mid-traversal: partial telemetry, no answer. The
-              // overrun is attributed (heat + counter) only when the probe
-              // budget — not just the batch deadline — was binding.
+              // overrun counts only when the probe budget — not just the
+              // batch deadline — was binding.
               jb.statuses[k] = ProbeStatus::kDeadlineExceeded;
               if (limits.probe_budget_ns != 0 &&
                   elapsed >= limits.probe_budget_ns) {
                 ++jb.overruns;
-                compose_->NoteShardOverrun(partition_.ShardOf(p.s));
               }
               continue;
             }
@@ -1065,7 +1019,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
             if (limits.probe_budget_ns != 0 &&
                 elapsed > limits.probe_budget_ns) {
               ++jb.overruns;
-              compose_->NoteShardOverrun(partition_.ShardOf(p.s));
             }
           } catch (const std::exception&) {
             jb.failed = true;
@@ -1090,7 +1043,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
 
       // Merge, sequentially and in item order.
       uint64_t hops = 0, expanded = 0, rows_built = 0;
-      uint64_t fr_hits = 0, fr_misses = 0, fr_evictions = 0;
       for (const ComposeJob& jb : compose_jobs) {
         for (size_t k = 0; k < jb.count; ++k) {
           const uint32_t i = items[jb.first + k].probe;
@@ -1108,9 +1060,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         hops += jb.hops;
         expanded += jb.expanded;
         rows_built += jb.rows_built;
-        fr_hits += jb.frontier_hits;
-        fr_misses += jb.frontier_misses;
-        fr_evictions += jb.frontier_evictions;
         total_overruns += jb.overruns;
         any_ran = any_ran || jb.ran;
         any_failed = any_failed || jb.failed;
@@ -1119,11 +1068,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
       c_.compose_skeleton_hops.Add(hops);
       c_.compose_expanded.Add(expanded);
       if (rows_built > 0) c_.compose_table_builds.Add(rows_built);
-      if (fr_hits > 0) c_.frontier_hits.Add(fr_hits);
-      if (fr_misses > 0) c_.frontier_misses.Add(fr_misses);
-      if (fr_evictions > 0) c_.frontier_evictions.Add(fr_evictions);
-      out.num_frontier_hits += fr_hits;
-      out.num_frontier_misses += fr_misses;
     }
     if (total_overruns > 0) c_.compose_overruns.Add(total_overruns);
     // Breaker evidence, once per batch: any failed chunk or budget overrun
@@ -1138,9 +1082,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
     c_.deadline_exceeded.Add(out.num_deadline_exceeded);
   }
   c_.batch_groups.Add(out.num_groups);
-  // Owner-thread adapt step between batches: drain this batch's heat and
-  // re-budget hot/cold shards (tables refresh lazily on the next probe).
-  RunBudgetAdaptation();
   if (metrics_on) h_.execute_ns.Record(obs::NowNanos() - t_start);
   return out;
 }

@@ -122,10 +122,9 @@ struct ServiceOptions {
   /// so a pathological skeleton walk overruns by at most one stride: the
   /// probe aborts without an answer (scalar Query throws UnavailableError;
   /// batched probes report ProbeStatus::kDeadlineExceeded), counts a
-  /// serve.compose.budget_overruns + serve.deadline_exceeded, attributes
-  /// overrun heat to its source shard for budget adaptation, and fails the
-  /// compose breaker. A probe that finishes just past its budget keeps its
-  /// exact answer and still counts the overrun.
+  /// serve.compose.budget_overruns + serve.deadline_exceeded, and fails
+  /// the compose breaker. A probe that finishes just past its budget keeps
+  /// its exact answer and still counts the overrun.
   uint64_t probe_budget_ns = 0;
   /// Admission control: Execute rejects batches with more probes than this
   /// before running anything (0 = unlimited).
@@ -173,13 +172,14 @@ struct ServiceStats {
   uint64_t compose_invalidations = 0;  ///< stale shard plans refreshed after
                                        ///< mutations
   uint64_t compose_expanded = 0;       ///< product states expanded on the fly
-  uint64_t frontier_hits = 0;       ///< probes answered from a cached frontier
-  uint64_t frontier_misses = 0;     ///< frontier builds installed in the cache
-  uint64_t frontier_evictions = 0;  ///< cached frontiers dropped (stale after
-                                    ///< a mutation, LRU capacity, or a
-                                    ///< wholesale invalidation)
-  uint64_t compose_budget_boosts = 0;    ///< shards boosted to the hot budget
-  uint64_t compose_budget_releases = 0;  ///< boosts released after cold rounds
+  uint64_t frontier_hits = 0;          ///< always 0; goes with ServiceStats
+                                       ///< (ROADMAP Delete item 1)
+  uint64_t frontier_misses = 0;        ///< always 0; goes with ServiceStats
+                                       ///< (ROADMAP Delete item 1)
+  uint64_t frontier_evictions = 0;     ///< always 0; goes with ServiceStats
+                                       ///< (ROADMAP Delete item 1)
+  uint64_t compose_budget_boosts = 0;  ///< always 0; goes with ServiceStats
+                                       ///< (ROADMAP Delete item 1)
   uint64_t batches = 0;
   uint64_t batch_groups = 0;     ///< (shard, MR) groups executed
   uint64_t seq_cache_flushes = 0;    ///< constraint-memo capacity flushes
@@ -364,11 +364,6 @@ class ShardedRlcService {
   bool ComposeProbe(VertexId s, VertexId t, const LabelSeq& seq,
                     uint32_t source_shard, bool need_intra);
 
-  /// One budget-adaptation step (owner thread): runs the engine's adapt
-  /// round, folds boosts/releases into the counters and refreshes the
-  /// per-shard table-budget gauges. Cheap no-op below adapt_min_probes.
-  void RunBudgetAdaptation(bool force_round = false);
-
   /// True when the edge exists in the service's current mutated graph.
   bool EdgePresent(VertexId src, Label label, VertexId dst) const;
 
@@ -433,11 +428,6 @@ class ShardedRlcService {
     obs::Counter& compose_table_builds;  ///< serve.compose.table_builds
     obs::Counter& compose_invalidations; ///< serve.compose.invalidations
     obs::Counter& compose_expanded;      ///< serve.compose.expanded
-    obs::Counter& frontier_hits;         ///< serve.compose.frontier.hits
-    obs::Counter& frontier_misses;       ///< serve.compose.frontier.misses
-    obs::Counter& frontier_evictions;    ///< serve.compose.frontier.evictions
-    obs::Counter& budget_boosts;         ///< serve.compose.budget.boosts
-    obs::Counter& budget_releases;       ///< serve.compose.budget.releases
     obs::Counter& batches;
     obs::Counter& batch_groups;
     obs::Counter& seq_cache_flushes;
@@ -471,9 +461,6 @@ class ShardedRlcService {
   ServiceCounters c_{metrics_};
   StageHistograms h_{metrics_};
   std::vector<obs::Counter*> shard_compose_;  ///< serve.compose.shard.<i>
-  /// serve.compose.table_budget.<i>: each shard's live effective transition
-  /// -table budget (the adaptive-budget gauge; updated after adapt rounds).
-  std::vector<obs::Gauge*> shard_budget_gauges_;
   // Fault-tolerance state: one breaker per shard plus one guarding the
   // composition engine (initialized in the constructor once the shard
   // count is known).

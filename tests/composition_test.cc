@@ -8,10 +8,13 @@
 // Every cell of the matrix
 //   policy in {hash, range, range-ordered} x shards in {1, 2, 4, 7}
 //     x k in {2, 3} x oracle signatures {on, off}
+//     x table budget {default, 1}
 // compares the composed service bit-exact against the oracle on ER,
 // Barabasi-Albert, and planted-partition community graphs — scalar Query
 // and batched Execute both — over probe sets that cover every endpoint
 // category: both endpoints boundary vertices, both interior, and mixed.
+// A table budget of 1 admits no transition table, so those cells drive
+// every skeleton hop through on-the-fly expansion.
 // A second group round-trips the composition warm cache through
 // SerializeCache / WriteCompositionCache / ReadCompositionCache /
 // RestoreCache, including corruption and shape-mismatch rejection.
@@ -114,13 +117,15 @@ std::vector<std::pair<VertexId, VertexId>> ProbePairs(
 }
 
 /// One cell of the sweep: build the service, compare every (pair, seq)
-/// probe scalar and batched against the oracle (signatures as configured).
+/// probe scalar and batched against the oracle (signatures and table
+/// budget as configured).
 void RunCell(const DiGraph& g, const RlcIndex& oracle, bool use_signatures,
              PartitionPolicy policy, uint32_t shards, uint32_t k,
-             uint64_t seed) {
+             uint32_t table_budget, uint64_t seed) {
   SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)) +
                " shards=" + std::to_string(shards) + " k=" + std::to_string(k) +
                " sig=" + std::to_string(use_signatures) +
+               " budget=" + std::to_string(table_budget) +
                " seed=" + std::to_string(seed));
   RlcIndex ref = oracle;  // cheap relative to the build; keeps oracle const
   ref.set_use_signatures(use_signatures);
@@ -130,6 +135,7 @@ void RunCell(const DiGraph& g, const RlcIndex& oracle, bool use_signatures,
   options.partition.policy = policy;
   options.indexer.k = k;
   options.build_threads = 2;
+  options.compose.table_budget_nodes = table_budget;
   ShardedRlcService service(g, options);
 
   Rng rng(seed);
@@ -159,6 +165,7 @@ void RunCell(const DiGraph& g, const RlcIndex& oracle, bool use_signatures,
 }
 
 void RunSweep(const DiGraph& g, uint64_t seed) {
+  const uint32_t default_budget = ComposeOptions{}.table_budget_nodes;
   for (const uint32_t k : {2u, 3u}) {
     const RlcIndex oracle = BuildSealed(g, k);
     for (const PartitionPolicy policy :
@@ -166,9 +173,11 @@ void RunSweep(const DiGraph& g, uint64_t seed) {
           PartitionPolicy::kRangeOrdered}) {
       for (const uint32_t shards : {1u, 2u, 4u, 7u}) {
         for (const bool sig : {true, false}) {
-          RunCell(g, oracle, sig, policy, shards, k,
-                  seed ^ (k * 131) ^ (shards * 17) ^
-                      (static_cast<uint64_t>(policy) << 8) ^ sig);
+          for (const uint32_t budget : {default_budget, 1u}) {
+            RunCell(g, oracle, sig, policy, shards, k, budget,
+                    seed ^ (k * 131) ^ (shards * 17) ^
+                        (static_cast<uint64_t>(policy) << 8) ^ sig);
+          }
         }
       }
     }
@@ -352,26 +361,46 @@ TEST(CompositionCacheIoTest, ServiceCheckpointCarriesComposeSnap) {
 }
 
 // ---------------------------------------------------------------------------
-// Covered-entry skip: a skeleton entry that an earlier table hop into its
-// shard already reached needs no transition row of its own.
+// Skeleton walk on a hand-built graph: a probe stops at the first accepting
+// entry, and a skeleton entry that an earlier table hop into its shard
+// already reached needs no transition row of its own.
+
+/// kRange over 8 vertices and 2 shards: {0..3} | {4..7}. Source 0 crosses
+/// into b1 = 4 and b2 = 5 (popped in that order); inside shard 1, 4 -a-> 5
+/// puts b2 in b1's row under a+. 6 -b-> 7 keeps 7 out of reach.
+DiGraph TwoShardSkeletonGraph() {
+  const Label a = 0, b = 1;
+  return DiGraph(8,
+                 {{0, 4, a}, {0, 5, a}, {1, 2, a}, {4, 5, a}, {5, 6, a},
+                  {6, 7, b}},
+                 2);
+}
+
+TEST(SkeletonWalkTest, FirstAcceptingPopEndsTheWalk) {
+  const DiGraph g = TwoShardSkeletonGraph();
+  const EngineParts parts = MakeParts(g, 2, PartitionPolicy::kRange);
+  ASSERT_EQ(parts.partition.ShardOf(4), 1u);
+  CompositionEngine engine(parts.partition, parts.shards, ComposeOptions{});
+  const LabelSeq seq{Label{0}};
+  const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
+  CompositionEngine::Scratch scratch;
+
+  // The very first probe: entry b1 = 4 is the target itself, so the walk
+  // answers at its first pop, before any transition row is built.
+  const ComposeResult r = engine.ComposedQuery(0, 4, plan, scratch);
+  EXPECT_TRUE(r.reachable);
+  EXPECT_EQ(r.skeleton_hops, 1u);
+  EXPECT_EQ(r.table_rows_built, 0u);
+}
 
 TEST(CoveredSetTest, CoveredEntrySkipsItsRow) {
-  // kRange over 8 vertices and 2 shards: {0..3} | {4..7}. Source 0 crosses
-  // into b1 = 4 and b2 = 5 (popped in that order); inside shard 1, 4 -a-> 5
-  // puts b2 in b1's row under a+. 6 -b-> 7 keeps 7 out of reach.
-  const Label a = 0, b = 1;
-  const DiGraph g(8,
-                  {{0, 4, a}, {0, 5, a}, {1, 2, a}, {4, 5, a}, {5, 6, a},
-                   {6, 7, b}},
-                  2);
+  const DiGraph g = TwoShardSkeletonGraph();
   const EngineParts parts = MakeParts(g, 2, PartitionPolicy::kRange);
   ASSERT_EQ(parts.partition.ShardOf(3), 0u);
   ASSERT_EQ(parts.partition.ShardOf(4), 1u);
-  ComposeOptions copts;
-  copts.frontier_cache_entries = 0;  // every probe walks its own skeleton
-  CompositionEngine engine(parts.partition, parts.shards, copts);
+  CompositionEngine engine(parts.partition, parts.shards, ComposeOptions{});
   const RlcIndex oracle = BuildSealed(g, 2);
-  const LabelSeq seq{a};
+  const LabelSeq seq{Label{0}};
   const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
   CompositionEngine::Scratch scratch;
 
@@ -394,97 +423,14 @@ TEST(CoveredSetTest, CoveredEntrySkipsItsRow) {
 }
 
 // ---------------------------------------------------------------------------
-// Skeleton frontier cache: answers are bit-identical with the cache on or
-// off across the partition sweep, the counters conserve (every installed
-// frontier was a miss, and is either still cached or counted evicted),
-// mutations invalidate cached frontiers, and LRU capacity pressure evicts
-// without changing answers.
+// Mutate-then-reprobe differential: transition tables are functions of one
+// shard's graph, so every mutation must refresh the stale shard plans
+// before they answer again.
 
-void RunFrontierCacheCell(const DiGraph& g, const RlcIndex& oracle,
-                          PartitionPolicy policy, uint32_t shards, uint32_t k,
-                          uint32_t exec_threads, uint64_t seed) {
-  SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)) +
-               " shards=" + std::to_string(shards) + " k=" + std::to_string(k) +
-               " threads=" + std::to_string(exec_threads));
-  ServiceOptions cached_opts;
-  cached_opts.partition.num_shards = shards;
-  cached_opts.partition.policy = policy;
-  cached_opts.indexer.k = k;
-  cached_opts.build_threads = 2;
-  cached_opts.exec_threads = exec_threads;
-  ServiceOptions cold_opts = cached_opts;
-  cold_opts.compose.frontier_cache_entries = 0;  // cache off
-  ShardedRlcService cached(g, cached_opts);
-  ShardedRlcService cold(g, cold_opts);
-
-  Rng rng(seed);
-  const auto seqs = ProbeSeqs(oracle, g.num_labels(), k, rng);
-  const auto pairs = ProbePairs(cached.partition(), g.num_vertices(), rng);
-  QueryBatch batch;
-  for (const LabelSeq& seq : seqs) {
-    const uint32_t seq_id = batch.InternSequence(seq);
-    for (const auto& [s, t] : pairs) batch.Add(s, t, seq_id);
-  }
-
-  // Two rounds: the first installs frontiers, the second answers from them.
-  // Both rounds must be bit-identical to the cache-off service and exact
-  // against the oracle.
-  for (int round = 0; round < 2; ++round) {
-    const AnswerBatch a = cached.Execute(batch);
-    const AnswerBatch b = cold.Execute(batch);
-    ASSERT_EQ(a.answers, b.answers) << "round " << round;
-    EXPECT_TRUE(a.all_ok());
-    EXPECT_TRUE(b.all_ok());
-    for (size_t i = 0; i < batch.num_probes(); ++i) {
-      const BatchProbe& p = batch.probes()[i];
-      ASSERT_EQ(a.answers[i] != 0,
-                oracle.Query(p.s, p.t, batch.sequence(p.seq_id)))
-          << "round " << round << " s=" << p.s << " t=" << p.t;
-    }
-  }
-
-  const ServiceStats cs = cached.stats();
-  const ServiceStats ns = cold.stats();
-  EXPECT_EQ(ns.frontier_hits + ns.frontier_misses + ns.frontier_evictions, 0u)
-      << "cache-off service touched the frontier cache";
-  if (shards > 1 && cs.compose_probes > 0) {
-    EXPECT_GT(cs.frontier_hits + cs.frontier_misses, 0u)
-        << "composed probes ran but the cache saw none of them";
-  }
-  // Conservation: misses == evictions + still-cached entries.
-  EXPECT_EQ(cs.frontier_misses,
-            cs.frontier_evictions + cached.composition().num_cached_frontiers());
-}
-
-TEST(FrontierCacheTest, SweepMatchesCacheOffBitExact) {
-  const DiGraph g = ErGraph(72, 300, 3, 0xF1);
-  for (const uint32_t k : {2u, 3u}) {
-    const RlcIndex oracle = BuildSealed(g, k);
-    for (const PartitionPolicy policy :
-         {PartitionPolicy::kHash, PartitionPolicy::kRangeOrdered}) {
-      for (const uint32_t shards : {2u, 4u, 7u}) {
-        RunFrontierCacheCell(g, oracle, policy, shards, k, /*exec_threads=*/1,
-                             0xF1 ^ (k * 131) ^ (shards * 17));
-      }
-    }
-  }
-}
-
-TEST(FrontierCacheTest, ParallelExecutionMatchesCacheOff) {
-  // Single-flight builds keep the cache exact (and its counters conserved)
-  // when composed jobs fan out across a pool.
-  const DiGraph g = CommunityGraph(72, 300, 3, 0xF2);
-  const RlcIndex oracle = BuildSealed(g, 2);
-  RunFrontierCacheCell(g, oracle, PartitionPolicy::kHash, 4, 2,
-                       /*exec_threads=*/2, 0xF2);
-}
-
-TEST(FrontierCacheTest, MutationInvalidatesCachedFrontiers) {
-  // Mutate-then-reprobe differential: cached frontiers are functions of the
-  // whole graph, so any mutation (cross-shard edges included) must stop
-  // them from answering. The service stays exact against a whole-graph
-  // dynamic oracle sharing the mutation stream, and the stale entries show
-  // up as evictions, never as wrong answers.
+TEST(TableInvalidationTest, MutationRefreshesStaleTables) {
+  // The service stays exact against a whole-graph dynamic oracle sharing
+  // the mutation stream (cross-shard edges included), and the stale plans
+  // show up as invalidations, never as wrong answers.
   const DiGraph g = ErGraph(72, 300, 3, 0xF3);
   ServiceOptions options;
   options.partition.num_shards = 4;
@@ -541,143 +487,10 @@ TEST(FrontierCacheTest, MutationInvalidatesCachedFrontiers) {
   }
   check_round(6);
 
-  const ServiceStats stats = service.stats();
-  // Every pre-mutation frontier went stale; reprobing the same templates
-  // must have dropped at least one at lookup.
-  EXPECT_GT(stats.frontier_evictions, 0u)
-      << "mutations never invalidated a cached frontier";
-  EXPECT_EQ(stats.frontier_misses,
-            stats.frontier_evictions + service.composition().num_cached_frontiers());
-}
-
-TEST(FrontierCacheTest, CapacityPressureEvictsLruAndKeepsAnswers) {
-  // Engine-level: a 2-entry cache under a workload with many distinct
-  // (constraint, seed-set) keys keeps evicting yet never changes answers,
-  // and the per-call telemetry conserves. Single-threaded: LRU order under
-  // capacity pressure is only deterministic with one prober.
-  const DiGraph g = ErGraph(60, 260, 3, 0xF4);
-  const EngineParts parts = MakeParts(g, 3, PartitionPolicy::kHash);
-  ComposeOptions small;
-  small.frontier_cache_entries = 2;
-  CompositionEngine engine(parts.partition, parts.shards, small);
-  CompositionEngine cold(parts.partition, parts.shards,
-                         ComposeOptions{.frontier_cache_entries = 0});
-
-  CompositionEngine::Scratch scratch, cold_scratch;
-  uint64_t hits = 0, misses = 0, evictions = 0;
-  for (int round = 0; round < 3; ++round) {
-    Rng probes(0xF4);  // same probe stream every round
-    for (int i = 0; i < 48; ++i) {
-      const auto s = static_cast<VertexId>(probes.Below(g.num_vertices()));
-      const auto t = static_cast<VertexId>(probes.Below(g.num_vertices()));
-      const LabelSeq seq =
-          RandomPrimitiveSeq(1 + static_cast<uint32_t>(i % 2), g.num_labels(),
-                             probes);
-      const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
-      const ComposeResult r = engine.ComposedQuery(s, t, plan, scratch);
-      const CompositionEngine::Plan& cold_plan = cold.PreparePlan(seq);
-      ASSERT_EQ(r.reachable,
-                cold.ComposedQuery(s, t, cold_plan, cold_scratch).reachable)
-          << "s=" << s << " t=" << t << " L=" << seq.ToString();
-      hits += r.frontier_hit ? 1 : 0;
-      misses += r.frontier_miss ? 1 : 0;
-      evictions += r.frontier_evictions;
-    }
-  }
-  EXPECT_GT(misses, 0u);
-  EXPECT_GT(evictions, 0u) << "2-entry cache never felt capacity pressure";
-  EXPECT_LE(engine.num_cached_frontiers(), 2u);
-  EXPECT_EQ(misses, evictions + engine.num_cached_frontiers());
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive table budgets: heat boosts a hot shard's effective budget (its
-// tables materialize past the static cap), quiet rounds release the boost,
-// and answers are bit-identical in every budget state.
-
-TEST(AdaptiveBudgetTest, BoostAndReleaseLifecycle) {
-  const DiGraph g = ErGraph(60, 260, 3, 0x31);
-  const EngineParts parts = MakeParts(g, 3, PartitionPolicy::kHash);
-  ComposeOptions copts;
-  copts.table_budget_nodes = 1;        // every shard starts over budget
-  copts.adaptive_tables = true;
-  copts.hot_budget_multiplier = 4096;  // boosted budget covers every shard
-  copts.hot_expand_threshold = 1;      // one on-the-fly expansion = hot
-  copts.adapt_min_probes = 1;
-  copts.cold_release_rounds = 2;
-  copts.frontier_cache_entries = 0;  // keep heat attribution direct
-  CompositionEngine engine(parts.partition, parts.shards, copts);
-
-  Rng rng(0x31);
-  std::vector<LabelSeq> seqs;
-  for (uint32_t i = 0; i < 4; ++i) {
-    seqs.push_back(RandomPrimitiveSeq(1 + i % 2, g.num_labels(), rng));
-  }
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  for (int i = 0; i < 40; ++i) {
-    pairs.emplace_back(static_cast<VertexId>(rng.Below(g.num_vertices())),
-                       static_cast<VertexId>(rng.Below(g.num_vertices())));
-  }
-  CompositionEngine::Scratch scratch;
-  const auto run_probes = [&] {
-    std::vector<uint8_t> answers;
-    uint64_t expanded = 0;
-    for (const LabelSeq& seq : seqs) {
-      const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
-      for (const auto& [s, t] : pairs) {
-        const ComposeResult r = engine.ComposedQuery(s, t, plan, scratch);
-        answers.push_back(r.reachable ? 1 : 0);
-        expanded += r.expanded;
-      }
-    }
-    return std::make_pair(answers, expanded);
-  };
-
-  // Cold: budget 1 admits no tables, everything expands on the fly.
-  const auto [want, cold_expanded] = run_probes();
-  ASSERT_GT(cold_expanded, 0u);
-  for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
-    ASSERT_FALSE(engine.ShardBoosted(s));
-  }
-
-  // The expansion heat marks shards hot; the round boosts them.
-  const BudgetAdaptation boosted = engine.AdaptTableBudgets(/*force_round=*/true);
-  EXPECT_GT(boosted.boosts, 0u);
-  EXPECT_EQ(boosted.releases, 0u);
-  bool any_boosted = false;
-  for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
-    if (!engine.ShardBoosted(s)) continue;
-    any_boosted = true;
-    EXPECT_EQ(engine.EffectiveTableBudget(s),
-              copts.table_budget_nodes * copts.hot_budget_multiplier);
-  }
-  ASSERT_TRUE(any_boosted);
-
-  // Boosted: plans refresh (budget epoch), tables materialize, answers are
-  // bit-identical and the on-the-fly volume collapses.
-  const auto [boosted_answers, boosted_expanded] = run_probes();
-  EXPECT_EQ(boosted_answers, want);
-  EXPECT_LT(boosted_expanded, cold_expanded);
-
-  // Quiet rounds release the boost. The first forced round drains the
-  // boosted run's heat (its pops keep the boost alive), so the quiet
-  // streak starts counting after it: cold_release_rounds + 1 rounds total.
-  BudgetAdaptation released;
-  for (uint32_t round = 0; round < copts.cold_release_rounds + 1; ++round) {
-    const BudgetAdaptation r = engine.AdaptTableBudgets(/*force_round=*/true);
-    released.boosts += r.boosts;
-    released.releases += r.releases;
-  }
-  EXPECT_GT(released.releases, 0u);
-  for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
-    EXPECT_FALSE(engine.ShardBoosted(s));
-    EXPECT_EQ(engine.EffectiveTableBudget(s), copts.table_budget_nodes);
-  }
-
-  // ...and the released engine still answers bit-identically.
-  const auto [released_answers, released_expanded] = run_probes();
-  EXPECT_EQ(released_answers, want);
-  EXPECT_EQ(released_expanded, cold_expanded);
+  // Reprobing the same templates after each round of mutations must have
+  // refreshed at least one stale shard plan.
+  EXPECT_GT(service.stats().compose_invalidations, 0u)
+      << "mutations never invalidated a transition table";
 }
 
 }  // namespace

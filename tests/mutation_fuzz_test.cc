@@ -363,10 +363,9 @@ struct ShardedFuzzConfig {
   uint32_t exec_threads = 1;
   int rounds = 3;
   int batch_size = 10;
-  /// Shrink the skeleton frontier cache to this many entries (0 keeps the
-  /// service default): constant LRU churn on top of the epoch invalidation
-  /// the mutations already force.
-  size_t tiny_frontier_cache = 0;
+  /// Transition-table budget of the composition engine; 1 admits no
+  /// table, so every skeleton hop expands its shard on the fly.
+  uint32_t table_budget_nodes = ComposeOptions{}.table_budget_nodes;
 };
 
 void RunShardedFuzz(ShardedFuzzConfig config) {
@@ -393,9 +392,7 @@ void RunShardedFuzz(ShardedFuzzConfig config) {
     options.reseal.min_delta_entries = 1;
     options.reseal.max_delta_ratio = 1e-6;
   }
-  if (config.tiny_frontier_cache != 0) {
-    options.compose.frontier_cache_entries = config.tiny_frontier_cache;
-  }
+  options.compose.table_budget_nodes = config.table_budget_nodes;
   ShardedRlcService service(g, options);
 
   // The mutated graph's current edge multiset, mirrored edge by edge.
@@ -472,14 +469,6 @@ void RunShardedFuzz(ShardedFuzzConfig config) {
     ASSERT_EQ(oracle.Query(s, t, c), service.Query(s, t, c)) << replay;
   }
   EXPECT_GT(service.stats().updates_deleted, 0u) << replay;
-  // Frontier-cache conservation survives the churn: every installed
-  // frontier was counted as a miss and is either still cached or evicted
-  // (stale after a mutation, LRU capacity, or a wholesale flush).
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.frontier_misses,
-            stats.frontier_evictions +
-                service.composition().num_cached_frontiers())
-      << replay;
 }
 
 TEST(MutationFuzzTest, ShardedComposeHash) {
@@ -505,17 +494,16 @@ TEST(MutationFuzzTest, ShardedComposeCrossEdgeChurn) {
                   .batch_size = 8});
 }
 
-TEST(MutationFuzzTest, ShardedComposeCrossChurnTinyFrontierCache) {
-  // Cross-edge churn with a 4-entry frontier cache: every round both
-  // invalidates the cached frontiers (mutation epoch) and thrashes the LRU
-  // (capacity), while the rebuild oracle pins that no stale frontier ever
-  // answers.
-  RunShardedFuzz({.name = "sharded_cross_churn_tiny_frontier",
+TEST(MutationFuzzTest, ShardedComposeCrossChurnOverBudget) {
+  // Cross-edge churn with a table budget of 1: no shard gets transition
+  // tables, so every composed probe walks the mutated shards on the fly
+  // while the rebuild oracle pins its answers.
+  RunShardedFuzz({.name = "sharded_cross_churn_over_budget",
                   .seed = 0x55,
                   .cross_bias = true,
                   .rounds = 2,
                   .batch_size = 8,
-                  .tiny_frontier_cache = 4});
+                  .table_budget_nodes = 1});
 }
 
 TEST(MutationFuzzTest, ShardedComposeRangeOrdered) {
