@@ -273,18 +273,10 @@ std::vector<VertexId> DynamicRlcIndex::AlignedBoundary(VertexId start,
     const Label expected = kernel[step_pos - 1];
     const uint32_t next_pos =
         backward ? step_pos : (pos == len ? 1 : pos + 1);
-    const auto base = backward ? g_.InEdgesWithLabel(x, expected)
-                               : g_.OutEdgesWithLabel(x, expected);
-    for (const LabeledNeighbor& nb : base) {
-      if (EdgeShadowed(backward, x, nb)) continue;
-      visit(nb.v, next_pos);
-    }
-    const auto& extra = backward ? extra_in_ : extra_out_;
-    if (!extra.empty()) {
-      for (const LabeledNeighbor& nb : extra[x]) {
-        if (nb.label == expected) visit(nb.v, next_pos);
-      }
-    }
+    ForEachEdge(x, expected, backward, [&](VertexId w) {
+      visit(w, next_pos);
+      return true;
+    });
   }
   std::sort(boundary.begin(), boundary.end());
   return boundary;
@@ -318,20 +310,15 @@ bool DynamicRlcIndex::AlignedConnects(VertexId u, VertexId v,
     const bool hits_target = next_pos == to_pos;
     const bool excludes_here = exclude != nullptr && x == exclude->src &&
                                expected == exclude->label;
-    for (const LabeledNeighbor& nb : g_.OutEdgesWithLabel(x, expected)) {
-      if (excludes_here && nb.v == exclude->dst) continue;
-      if (EdgeShadowed(/*backward=*/false, x, nb)) continue;
-      if (hits_target && nb.v == v) return true;
-      visit(nb.v, next_pos);
-    }
-    if (!extra_out_.empty()) {
-      for (const LabeledNeighbor& nb : extra_out_[x]) {
-        if (nb.label != expected) continue;
-        if (excludes_here && nb.v == exclude->dst) continue;
-        if (hits_target && nb.v == v) return true;
-        visit(nb.v, next_pos);
-      }
-    }
+    // The scan stops exactly when an edge reaches the target.
+    const bool missed = ForEachEdge(x, expected, /*backward=*/false,
+                                    [&](VertexId w) {
+      if (excludes_here && w == exclude->dst) return true;
+      if (hits_target && w == v) return false;
+      visit(w, next_pos);
+      return true;
+    });
+    if (!missed) return true;
   }
   return false;
 }
@@ -359,25 +346,14 @@ std::vector<VertexId> DynamicRlcIndex::AlignedClosure(VertexId start,
     const uint32_t step_pos = backward ? (pos == 1 ? len : pos - 1) : pos;
     const Label expected = kernel[step_pos - 1];
     const uint32_t next_pos = backward ? step_pos : (pos == len ? 1 : pos + 1);
-    auto step = [&](VertexId w) {
+    ForEachEdge(x, expected, backward, [&](VertexId w) {
       // A vertex belongs to the closure when a step lands on it at a copy
       // boundary — recorded before the dedup stamp, so an aligned cycle
       // back to the (already stamped) start still reports it.
       if (next_pos == 1) closure.push_back(w);
       visit(w, next_pos);
-    };
-    const auto base = backward ? g_.InEdgesWithLabel(x, expected)
-                               : g_.OutEdgesWithLabel(x, expected);
-    for (const LabeledNeighbor& nb : base) {
-      if (EdgeShadowed(backward, x, nb)) continue;
-      step(nb.v);
-    }
-    const auto& extra = backward ? extra_in_ : extra_out_;
-    if (!extra.empty()) {
-      for (const LabeledNeighbor& nb : extra[x]) {
-        if (nb.label == expected) step(nb.v);
-      }
-    }
+      return true;
+    });
   }
   std::sort(closure.begin(), closure.end());
   closure.erase(std::unique(closure.begin(), closure.end()), closure.end());

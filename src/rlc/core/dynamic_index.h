@@ -191,29 +191,27 @@ class DynamicRlcIndex {
   /// plus the insert overlay).
   bool HasEdge(VertexId u, Label label, VertexId v) const;
 
-  /// \name Overlay adjacency (read-only)
-  /// Per-vertex views of the graph overlay for external traversals (the
-  /// cross-shard composition engine walks base + extra minus removed
-  /// without materializing the mutated graph). Empty spans when the vertex
-  /// has no overlay edges.
-  ///@{
-  std::span<const LabeledNeighbor> ExtraOut(VertexId v) const {
-    if (v >= extra_out_.size()) return {};
-    return extra_out_[v];
+  /// Calls `fn(w)` for every edge v --label--> w of the mutated graph
+  /// (every edge w --label--> v when `backward`): the base adjacency minus
+  /// shadowed slots, then the overlay edges, in that order. This is the
+  /// one edge filter every product walk over the mutated graph uses — the
+  /// maintenance searches here and the cross-shard composition engine.
+  /// `fn` returns false to stop early, and then so does this call.
+  template <typename Fn>
+  bool ForEachEdge(VertexId v, Label label, bool backward, Fn&& fn) const {
+    for (const LabeledNeighbor& nb : backward
+                                         ? g_.InEdgesWithLabel(v, label)
+                                         : g_.OutEdgesWithLabel(v, label)) {
+      if (EdgeShadowed(backward, v, nb)) continue;
+      if (!fn(nb.v)) return false;
+    }
+    const auto& extra = backward ? extra_in_ : extra_out_;
+    if (extra.empty()) return true;
+    for (const LabeledNeighbor& nb : extra[v]) {
+      if (nb.label == label && !fn(nb.v)) return false;
+    }
+    return true;
   }
-  std::span<const LabeledNeighbor> ExtraIn(VertexId v) const {
-    if (v >= extra_in_.size()) return {};
-    return extra_in_[v];
-  }
-  /// True when the base adjacency slot `nb` of vertex `v` is shadowed by a
-  /// delete (out-neighbor form / in-neighbor form).
-  bool OutEdgeRemoved(VertexId v, const LabeledNeighbor& nb) const {
-    return EdgeShadowed(/*backward=*/false, v, nb);
-  }
-  bool InEdgeRemoved(VertexId v, const LabeledNeighbor& nb) const {
-    return EdgeShadowed(/*backward=*/true, v, nb);
-  }
-  ///@}
 
   /// Blocks until an in-flight background reseal (if any) has merged, then
   /// swaps it in. Also the deterministic sync point for tests and benches.

@@ -34,6 +34,72 @@ uint64_t ReadU64(std::span<const uint8_t> bytes, size_t& off) {
   return v;
 }
 
+/// What a product walk does with the state an edge reaches.
+enum class Arrival { kSeen, kFresh, kStop };
+
+/// How a product walk ended: it ran out of states, an arrival stopped it,
+/// or the deadline expired.
+enum class WalkEnd { kDone, kStopped, kTimedOut };
+
+/// Marks `pid` in a stamped visited array.
+Arrival Mark(std::vector<uint32_t>& stamps, uint64_t pid, uint32_t stamp) {
+  if (stamps[pid] == stamp) return Arrival::kSeen;
+  stamps[pid] = stamp;
+  return Arrival::kFresh;
+}
+
+/// The in-walk deadline check of one probe, shared by all of its walks:
+/// one clock read per kDeadlineCheckStride pops, so overrun past the
+/// deadline is bounded by one stride of work (plus at most one table-row
+/// build) instead of a whole skeleton walk.
+class DeadlineGate {
+ public:
+  explicit DeadlineGate(Deadline deadline) : deadline_(deadline) {}
+
+  bool Hit() {
+    if (!deadline_.active() || --ticks_ != 0) return false;
+    ticks_ = CompositionEngine::kDeadlineCheckStride;
+    return deadline_.Expired(obs::NowNanos());
+  }
+
+ private:
+  Deadline deadline_;
+  uint32_t ticks_ = CompositionEngine::kDeadlineCheckStride;
+};
+
+/// The one intra-shard product walk: a BFS over the shard-local product
+/// states (local vertex * j + position) of `dyn`'s mutated graph under
+/// `seq`. Forward, (v, p) steps over an edge labeled seq[p] to position
+/// p + 1; in reverse, over the edge labeled seq[p - 1] that led into
+/// (v, p), back to position p - 1 (positions mod j). `queue` holds the
+/// seeds, already marked by the caller, and ends up holding every state
+/// the walk reached. `pop(v, p)` runs on each dequeued state;
+/// `arrive(w, p)` marks the state an edge reaches and says whether to
+/// enqueue it or to stop the walk.
+template <bool kReverse, typename Pop, typename Arrive>
+WalkEnd WalkShard(const DynamicRlcIndex& dyn, const LabelSeq& seq,
+                  std::vector<uint64_t>& queue, DeadlineGate& gate, Pop&& pop,
+                  Arrive&& arrive) {
+  const uint32_t j = seq.size();
+  for (size_t head = 0; head < queue.size(); ++head) {
+    if (gate.Hit()) return WalkEnd::kTimedOut;
+    const VertexId v = static_cast<VertexId>(queue[head] / j);
+    const uint32_t p = static_cast<uint32_t>(queue[head] % j);
+    pop(v, p);
+    const uint32_t q = kReverse ? (p + j - 1) % j : p;
+    const uint32_t np = kReverse ? q : (p + 1) % j;
+    const bool done = dyn.ForEachEdge(v, seq[q], kReverse, [&](VertexId w) {
+      const Arrival a = arrive(w, np);
+      if (a == Arrival::kFresh) {
+        queue.push_back(static_cast<uint64_t>(w) * j + np);
+      }
+      return a != Arrival::kStop;
+    });
+    if (!done) return WalkEnd::kStopped;
+  }
+  return WalkEnd::kDone;
+}
+
 }  // namespace
 
 CompositionEngine::CompositionEngine(
@@ -127,7 +193,6 @@ const CompositionEngine::BoundaryRow* CompositionEngine::GetRow(
 
   const uint32_t j = plan.j;
   const ShardInfo& shard = partition_.shard(s);
-  const DynamicRlcIndex& dyn = *shards_[s];
   const uint64_t local_states =
       static_cast<uint64_t>(shard.graph.num_vertices()) * j;
   if (sp.build_stamp.size() < local_states) {
@@ -143,38 +208,26 @@ const CompositionEngine::BoundaryRow* CompositionEngine::GetRow(
   fresh->bits.assign(
       (static_cast<uint64_t>(sp.num_boundary) * j + 63) / 64, 0);
 
-  // Intra product BFS from the row's boundary state over the shard's
-  // mutated graph (base subgraph + overlay minus removals); every boundary
-  // product state reached — including the start itself — sets its bit.
-  const VertexId b_local = shard.boundary[row_idx / j];
-  sp.build_queue.clear();
-  const uint64_t start = static_cast<uint64_t>(b_local) * j + row_idx % j;
+  // Every boundary product state the row's start reaches inside the shard
+  // — the start itself included — sets its bit. A row build is not
+  // deadline-gated: it is the "plus one row build" of the overrun bound.
+  const uint64_t start =
+      static_cast<uint64_t>(shard.boundary[row_idx / j]) * j + row_idx % j;
   sp.build_stamp[start] = bstamp;
-  sp.build_queue.push_back(start);
-  for (size_t head = 0; head < sp.build_queue.size(); ++head) {
-    const uint64_t pid = sp.build_queue[head];
-    const VertexId lu = static_cast<VertexId>(pid / j);
-    const uint32_t q = static_cast<uint32_t>(pid % j);
-    const int32_t ord = sp.boundary_ord[lu];
-    if (ord >= 0) {
-      const uint64_t bit = static_cast<uint64_t>(ord) * j + q;
-      fresh->bits[bit / 64] |= uint64_t{1} << (bit % 64);
-    }
-    const Label l = plan.seq[q];
-    const uint32_t nq = (q + 1) % j;
-    const auto visit = [&](VertexId lv) {
-      const uint64_t npid = static_cast<uint64_t>(lv) * j + nq;
-      if (sp.build_stamp[npid] == bstamp) return;
-      sp.build_stamp[npid] = bstamp;
-      sp.build_queue.push_back(npid);
-    };
-    for (const LabeledNeighbor& nb : shard.graph.OutEdgesWithLabel(lu, l)) {
-      if (!dyn.OutEdgeRemoved(lu, nb)) visit(nb.v);
-    }
-    for (const LabeledNeighbor& nb : dyn.ExtraOut(lu)) {
-      if (nb.label == l) visit(nb.v);
-    }
-  }
+  sp.build_queue.assign(1, start);
+  DeadlineGate unbounded{Deadline{}};
+  WalkShard</*kReverse=*/false>(
+      *shards_[s], plan.seq, sp.build_queue, unbounded,
+      [&](VertexId lu, uint32_t q) {
+        const int32_t ord = sp.boundary_ord[lu];
+        if (ord < 0) return;
+        const uint64_t bit = static_cast<uint64_t>(ord) * j + q;
+        fresh->bits[bit / 64] |= uint64_t{1} << (bit % 64);
+      },
+      [&](VertexId lw, uint32_t nq) {
+        return Mark(sp.build_stamp, static_cast<uint64_t>(lw) * j + nq,
+                    bstamp);
+      });
 
   const BoundaryRow* ptr = fresh.get();
   sp.owned.push_back(std::move(fresh));
@@ -186,7 +239,8 @@ const CompositionEngine::BoundaryRow* CompositionEngine::GetRow(
 ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
                                                const Plan& plan,
                                                Scratch& scratch,
-                                               const Deadline& deadline) const {
+                                               const Deadline& deadline,
+                                               bool need_intra) const {
   ComposeResult result;
   const uint32_t j = plan.j;
   EnsureScratch(scratch, j);
@@ -196,24 +250,14 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   const auto pid_of = [j](VertexId v, uint32_t p) {
     return static_cast<uint64_t>(v) * j + p;
   };
-  // In-BFS deadline gate: one clock read per kDeadlineCheckStride pops, so
-  // overrun past the deadline is bounded by one stride of work (plus at
-  // most one table-row build) instead of a whole skeleton walk.
-  uint32_t dl_ticks = kDeadlineCheckStride;
-  const bool bounded = deadline.active();
-  const auto deadline_hit = [&]() {
-    if (!bounded) return false;
-    if (--dl_ticks != 0) return false;
-    dl_ticks = kDeadlineCheckStride;
-    return deadline.Expired(obs::NowNanos());
-  };
   // A deadline that already expired (e.g. spent upstream in queueing or an
   // injected delay) aborts before any traversal — small probes must not
   // slip through inside the first stride.
-  if (bounded && deadline.Expired(obs::NowNanos())) {
+  if (deadline.active() && deadline.Expired(obs::NowNanos())) {
     result.timed_out = true;
     return result;
   }
+  DeadlineGate gate(deadline);
   // Label-matched cross hop out of (u, q): push unseen skeleton entries.
   const auto emit_cross = [&](VertexId u, uint32_t q) {
     const Label l = plan.seq[q];
@@ -226,82 +270,59 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       scratch.skel_queue.push_back(npid);
     }
   };
+  // Forward walk of shard `sh` from its local state (lv, p), which the
+  // caller has marked: marks global states in `stamps` and emits the cross
+  // hops of every state it pops. An edge arriving at (intra_target, 0)
+  // stops it (kInvalidVertex: never).
+  const auto walk_forward = [&](uint32_t sh, VertexId lv, uint32_t p,
+                                std::vector<uint32_t>& stamps,
+                                VertexId intra_target) {
+    scratch.walk_queue.assign(1, pid_of(lv, p));
+    const WalkEnd end = WalkShard</*kReverse=*/false>(
+        *shards_[sh], plan.seq, scratch.walk_queue, gate,
+        [&](VertexId lu, uint32_t q) {
+          emit_cross(partition_.GlobalOf(sh, lu), q);
+        },
+        [&](VertexId lw, uint32_t np) {
+          if (np == 0 && lw == intra_target) return Arrival::kStop;
+          return Mark(stamps, pid_of(partition_.GlobalOf(sh, lw), np), stamp);
+        });
+    result.expanded += static_cast<uint32_t>(scratch.walk_queue.size());
+    return end;
+  };
 
-  // Phase 1 — source-shard suffix: forward product BFS from (s, 0) inside
+  // Phase 1 — source-shard suffix: forward walk from (s, 0) inside
   // shard(s); cross edges leaving any visited state seed the skeleton.
-  scratch.fwd_queue.clear();
+  // With need_intra, an edge arriving at (t, 0) is a purely intra-shard
+  // witness. Arrival, never the seed itself, enforces the >= 1-edge
+  // requirement, so s == t demands a genuine aligned cycle.
   scratch.skel_queue.clear();
-  {
-    const ShardInfo& shard = partition_.shard(ss);
-    const DynamicRlcIndex& dyn = *shards_[ss];
-    const uint64_t start = pid_of(s, 0);
-    scratch.fwd_stamp[start] = stamp;
-    scratch.fwd_queue.push_back(start);
-    for (size_t head = 0; head < scratch.fwd_queue.size(); ++head) {
-      if (deadline_hit()) {
-        result.timed_out = true;
-        result.expanded += static_cast<uint32_t>(scratch.fwd_queue.size());
-        return result;
-      }
-      const uint64_t pid = scratch.fwd_queue[head];
-      const VertexId u = static_cast<VertexId>(pid / j);
-      const uint32_t p = static_cast<uint32_t>(pid % j);
-      emit_cross(u, p);
-      const Label l = plan.seq[p];
-      const uint32_t np = (p + 1) % j;
-      const VertexId lu = partition_.LocalOf(u);
-      const auto visit = [&](VertexId local_succ) {
-        const uint64_t npid = pid_of(partition_.GlobalOf(ss, local_succ), np);
-        if (scratch.fwd_stamp[npid] == stamp) return;
-        scratch.fwd_stamp[npid] = stamp;
-        scratch.fwd_queue.push_back(npid);
-      };
-      for (const LabeledNeighbor& nb : shard.graph.OutEdgesWithLabel(lu, l)) {
-        if (!dyn.OutEdgeRemoved(lu, nb)) visit(nb.v);
-      }
-      for (const LabeledNeighbor& nb : dyn.ExtraOut(lu)) {
-        if (nb.label == l) visit(nb.v);
-      }
-    }
-    result.expanded += static_cast<uint32_t>(scratch.fwd_queue.size());
+  scratch.fwd_stamp[pid_of(s, 0)] = stamp;
+  const WalkEnd fwd = walk_forward(
+      ss, partition_.LocalOf(s), 0, scratch.fwd_stamp,
+      need_intra && ss == st ? partition_.LocalOf(t) : kInvalidVertex);
+  if (fwd != WalkEnd::kDone) {
+    result.reachable = fwd == WalkEnd::kStopped;
+    result.timed_out = fwd == WalkEnd::kTimedOut;
+    return result;
   }
   if (scratch.skel_queue.empty()) return result;
 
-  // Phase 2 — target-shard prefix: reverse product BFS from (t, 0) inside
+  // Phase 2 — target-shard prefix: reverse walk from (t, 0) inside
   // shard(t) marks the accept set A (states that intra-reach (t, 0)).
-  {
-    const ShardInfo& shard = partition_.shard(st);
-    const DynamicRlcIndex& dyn = *shards_[st];
-    scratch.acc_queue.clear();
-    const uint64_t accept = pid_of(t, 0);
-    scratch.acc_stamp[accept] = stamp;
-    scratch.acc_queue.push_back(accept);
-    for (size_t head = 0; head < scratch.acc_queue.size(); ++head) {
-      if (deadline_hit()) {
-        result.timed_out = true;
-        result.expanded += static_cast<uint32_t>(scratch.acc_queue.size());
-        return result;
-      }
-      const uint64_t pid = scratch.acc_queue[head];
-      const VertexId v = static_cast<VertexId>(pid / j);
-      const uint32_t r = static_cast<uint32_t>(pid % j);
-      const uint32_t q = (r + j - 1) % j;
-      const Label l = plan.seq[q];
-      const VertexId lv = partition_.LocalOf(v);
-      const auto visit = [&](VertexId local_pred) {
-        const uint64_t npid = pid_of(partition_.GlobalOf(st, local_pred), q);
-        if (scratch.acc_stamp[npid] == stamp) return;
-        scratch.acc_stamp[npid] = stamp;
-        scratch.acc_queue.push_back(npid);
-      };
-      for (const LabeledNeighbor& nb : shard.graph.InEdgesWithLabel(lv, l)) {
-        if (!dyn.InEdgeRemoved(lv, nb)) visit(nb.v);
-      }
-      for (const LabeledNeighbor& nb : dyn.ExtraIn(lv)) {
-        if (nb.label == l) visit(nb.v);
-      }
-    }
-    result.expanded += static_cast<uint32_t>(scratch.acc_queue.size());
+  scratch.acc_stamp[pid_of(t, 0)] = stamp;
+  scratch.walk_queue.assign(1, pid_of(partition_.LocalOf(t), 0));
+  const WalkEnd acc = WalkShard</*kReverse=*/true>(
+      *shards_[st], plan.seq, scratch.walk_queue, gate,
+      [](VertexId, uint32_t) {},
+      [&](VertexId lw, uint32_t q) {
+        return Mark(scratch.acc_stamp, pid_of(partition_.GlobalOf(st, lw), q),
+                    stamp);
+      });
+  result.expanded += static_cast<uint32_t>(scratch.walk_queue.size());
+  if (acc == WalkEnd::kTimedOut) {
+    result.timed_out = true;
+    return result;
   }
 
   // Phase 3 — skeleton BFS. Entries are checked against A at pop time;
@@ -310,7 +331,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   // entry's pop already answered true (so exp-stamp dedup of later entries
   // cannot hide an accepting one).
   for (size_t head = 0; head < scratch.skel_queue.size(); ++head) {
-    if (deadline_hit()) {
+    if (gate.Hit()) {
       result.timed_out = true;
       return result;
     }
@@ -355,115 +376,17 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       }
     } else {
       // Over-budget shard: expand the product graph on the fly. exp_stamp
-      // is shared across every entry into this shard within the probe, so
-      // the shard's product graph is walked at most once per probe.
-      const ShardInfo& shard = partition_.shard(sv);
-      const DynamicRlcIndex& dyn = *shards_[sv];
-      scratch.exp_queue.clear();
-      scratch.exp_queue.push_back(pid);
-      for (size_t eh = 0; eh < scratch.exp_queue.size(); ++eh) {
-        if (deadline_hit()) {
-          result.timed_out = true;
-          result.expanded += static_cast<uint32_t>(scratch.exp_queue.size());
-          return result;
-        }
-        const uint64_t epid = scratch.exp_queue[eh];
-        const VertexId u = static_cast<VertexId>(epid / j);
-        const uint32_t q = static_cast<uint32_t>(epid % j);
-        emit_cross(u, q);
-        const Label l = plan.seq[q];
-        const uint32_t nq = (q + 1) % j;
-        const VertexId lu = partition_.LocalOf(u);
-        const auto visit = [&](VertexId local_succ) {
-          const uint64_t npid = pid_of(partition_.GlobalOf(sv, local_succ), nq);
-          if (scratch.exp_stamp[npid] == stamp) return;
-          scratch.exp_stamp[npid] = stamp;
-          scratch.exp_queue.push_back(npid);
-        };
-        for (const LabeledNeighbor& nb : shard.graph.OutEdgesWithLabel(lu, l)) {
-          if (!dyn.OutEdgeRemoved(lu, nb)) visit(nb.v);
-        }
-        for (const LabeledNeighbor& nb : dyn.ExtraOut(lu)) {
-          if (nb.label == l) visit(nb.v);
-        }
+      // is shared across every entry into this shard within the probe (the
+      // entry itself was marked when its cross hop was emitted), so the
+      // shard's product graph is walked at most once per probe.
+      if (walk_forward(sv, partition_.LocalOf(v), p, scratch.exp_stamp,
+                       kInvalidVertex) == WalkEnd::kTimedOut) {
+        result.timed_out = true;
+        return result;
       }
-      result.expanded += static_cast<uint32_t>(scratch.exp_queue.size());
     }
   }
   return result;
-}
-
-
-bool CompositionEngine::IntraProductReaches(VertexId s, VertexId t,
-                                            const LabelSeq& seq,
-                                            Scratch& scratch,
-                                            const Deadline& deadline,
-                                            bool* timed_out) const {
-  if (timed_out) *timed_out = false;
-  const uint32_t ss = partition_.ShardOf(s);
-  RLC_REQUIRE(ss == partition_.ShardOf(t),
-              "IntraProductReaches: endpoints span shards "
-                  << ss << " and " << partition_.ShardOf(t));
-  const uint32_t j = seq.size();
-  RLC_REQUIRE(j >= 1, "IntraProductReaches: empty constraint");
-  EnsureScratch(scratch, j);
-  const uint32_t stamp = scratch.stamp;
-  const ShardInfo& shard = partition_.shard(ss);
-  const DynamicRlcIndex& dyn = *shards_[ss];
-
-  // Forward product BFS from (s, 0); accepting on *arrival* at (t, 0) via
-  // an edge (never on the seed itself) enforces the >= 1-edge requirement,
-  // which makes s == t demand a genuine aligned cycle.
-  scratch.fwd_queue.clear();
-  const uint64_t start = static_cast<uint64_t>(s) * j;
-  scratch.fwd_stamp[start] = stamp;
-  scratch.fwd_queue.push_back(start);
-  uint32_t dl_ticks = kDeadlineCheckStride;
-  const bool bounded = deadline.active();
-  if (bounded && deadline.Expired(obs::NowNanos())) {
-    if (timed_out) *timed_out = true;
-    return false;
-  }
-  for (size_t head = 0; head < scratch.fwd_queue.size(); ++head) {
-    if (bounded && --dl_ticks == 0) {
-      dl_ticks = kDeadlineCheckStride;
-      if (deadline.Expired(obs::NowNanos())) {
-        if (timed_out) *timed_out = true;
-        return false;
-      }
-    }
-    const uint64_t pid = scratch.fwd_queue[head];
-    const VertexId u = static_cast<VertexId>(pid / j);
-    const uint32_t p = static_cast<uint32_t>(pid % j);
-    const Label l = seq[p];
-    const uint32_t np = (p + 1) % j;
-    const VertexId lu = partition_.LocalOf(u);
-    bool found = false;
-    const auto visit = [&](VertexId local_succ) {
-      const VertexId gv = partition_.GlobalOf(ss, local_succ);
-      if (gv == t && np == 0) {
-        found = true;
-        return;
-      }
-      const uint64_t npid = static_cast<uint64_t>(gv) * j + np;
-      if (scratch.fwd_stamp[npid] == stamp) return;
-      scratch.fwd_stamp[npid] = stamp;
-      scratch.fwd_queue.push_back(npid);
-    };
-    for (const LabeledNeighbor& nb : shard.graph.OutEdgesWithLabel(lu, l)) {
-      if (!dyn.OutEdgeRemoved(lu, nb)) {
-        visit(nb.v);
-        if (found) return true;
-      }
-    }
-    for (const LabeledNeighbor& nb : dyn.ExtraOut(lu)) {
-      if (nb.label == l) {
-        visit(nb.v);
-        if (found) return true;
-      }
-    }
-  }
-  return false;
 }
 
 std::vector<uint8_t> CompositionEngine::SerializeCache() const {

@@ -6,21 +6,30 @@
 // consumed modulo |L|, so a walk (s, 0) ⇝ (t, 0) of >= 1 edge spells
 // exactly L^z for some z >= 1:
 //
-//   1. source-shard suffix: a forward product BFS from (s, 0) inside
+//   1. source-shard suffix: a forward product walk from (s, 0) inside
 //      shard(s) (base subgraph + live mutation overlay) finds every
 //      product state with an outgoing cross edge carrying the label the
 //      position demands — the skeleton seeds. Seeding with cross-edge
 //      *successors* enforces the >= 1-cross-edge requirement, which keeps
 //      composition disjoint from the shard-index intra tier: a purely
-//      intra-shard witness is exactly the shard index's job.
-//   2. skeleton hops: a BFS over boundary product states alternates
+//      intra-shard witness is exactly the shard index's job. A degraded
+//      probe, whose shard index is unavailable, asks for intra witnesses
+//      too (`need_intra`): the same walk then also accepts when an edge
+//      arrives at (t, 0), so the probe walks its shard once.
+//   2. target-shard prefix: a reverse product walk from (t, 0) inside
+//      shard(t) precomputes the accept set A — every product state that
+//      intra-reaches (t, 0). A skeleton entry into shard(t) answers true
+//      iff it lands in A. Membership is intra-closed, so checking entries
+//      on arrival is complete: an interior state of A reachable from an
+//      entry puts the entry itself in A.
+//   3. skeleton hops: a BFS over boundary product states alternates
 //      intra-shard closure with label-matched cross-edge hops. Closure
 //      inside a shard comes from its per-(shard, constraint) boundary
 //      transition table when the shard's boundary product graph fits the
 //      table budget — row (b, p) is the bitset of boundary product states
-//      (b', p') intra-reachable from (b, p), built lazily one product BFS
+//      (b', p') intra-reachable from (b, p), built lazily one product walk
 //      per touched row and reused across probes — or, over budget, from an
-//      incremental per-probe product BFS whose visited set is shared by
+//      incremental per-probe product walk whose visited set is shared by
 //      every entry into that shard (monotone, so a probe expands each
 //      shard's product graph at most once). Table hops dedup exits word-
 //      parallel: the probe ORs every scanned row into a per-shard covered
@@ -28,12 +37,13 @@
 //      entry whose own bit is already covered is skipped without reading
 //      its row: the row that covered it starts at a state that intra-
 //      reaches the entry, so it already holds the entry's whole row.
-//   3. target-shard prefix: a reverse product BFS from (t, 0) inside
-//      shard(t) precomputes the accept set A — every product state that
-//      intra-reaches (t, 0). A skeleton entry into shard(t) answers true
-//      iff it lands in A. Membership is intra-closed, so checking entries
-//      on arrival is complete: an interior state of A reachable from an
-//      entry puts the entry itself in A.
+//
+// All four intra-shard traversals — the source-shard suffix, the reverse
+// target-shard prefix, row builds and on-the-fly expansion — are one
+// walker (WalkShard in compose.cc), templated on direction, with the
+// caller's visited mark and pop callback. It reads edges through
+// DynamicRlcIndex::ForEachEdge, so the mutated-graph filter lives in one
+// place.
 //
 // Correctness does not depend on any shard index: every traversal walks
 // the live mutated graph (shard subgraphs + DynamicRlcIndex overlays +
@@ -51,10 +61,10 @@
 // the index).
 //
 // Thread contract: PreparePlan, mutation notifications and cache
-// serialization are owner-thread-only. ComposedQuery and
-// IntraProductReaches on a prepared plan are safe to fan out across a
-// worker pool (per-call Scratch; lazy row construction is published with
-// acquire/release atomics under a per-shard build mutex).
+// serialization are owner-thread-only. ComposedQuery on a prepared plan is
+// safe to fan out across a worker pool (per-call Scratch; lazy row
+// construction is published with acquire/release atomics under a
+// per-shard build mutex).
 
 #pragma once
 
@@ -93,7 +103,12 @@ struct ComposeResult {
   /// stride (kDeadlineCheckStride pops) or one table-row build.
   bool timed_out = false;
   uint32_t skeleton_hops = 0;  ///< skeleton entries popped
-  uint32_t expanded = 0;       ///< product states visited on the fly
+  /// Product states the probe's own walks reached: the source-shard
+  /// suffix, the target-shard prefix and on-the-fly expansion of
+  /// over-budget shards (row builds are not counted here). A walk cut
+  /// short — by the deadline or, with need_intra, by an intra witness —
+  /// counts its partial queue.
+  uint32_t expanded = 0;
   uint32_t table_rows_built = 0;  ///< transition rows built by this call
 };
 
@@ -136,7 +151,9 @@ class CompositionEngine {
   };
 
   /// Per-thread traversal scratch: stamped visited arrays over the global
-  /// product space plus BFS queues. Reusable across probes and plans.
+  /// product space plus walk queues (shard-local states for the intra
+  /// walks, global ones for the skeleton). Reusable across probes and
+  /// plans.
   struct Scratch {
     std::vector<uint32_t> fwd_stamp;   ///< source-shard forward BFS
     std::vector<uint32_t> acc_stamp;   ///< target-shard accept set A
@@ -150,10 +167,9 @@ class CompositionEngine {
     /// lazily, on the probe's first table hop into the shard).
     std::vector<uint32_t> covered_stamp;
     uint32_t stamp = 0;
-    std::vector<uint64_t> fwd_queue;
-    std::vector<uint64_t> acc_queue;
+    /// Queue of the probe's current intra walk (one runs at a time).
+    std::vector<uint64_t> walk_queue;
     std::vector<uint64_t> skel_queue;
-    std::vector<uint64_t> exp_queue;
   };
 
   /// `partition` and `shards` must outlive the engine; `shards` is the
@@ -171,23 +187,17 @@ class CompositionEngine {
   const Plan& PreparePlan(const LabelSeq& seq, uint32_t* invalidated = nullptr);
 
   /// True iff a path s ⇝ t spelling seq^z (z >= 1) with >= 1 cross-shard
-  /// edge exists on the current mutated graph. Thread-safe on a prepared
+  /// edge exists on the current mutated graph — or, with `need_intra`,
+  /// any such path, purely intra-shard ones included (the index-free exact
+  /// answer for degraded probes whose shard index is unavailable; phase 1
+  /// accepts when an edge arrives at (t, 0)). Thread-safe on a prepared
   /// plan (see class comment). A set `deadline` is enforced inside every
   /// traversal loop (stride kDeadlineCheckStride); on expiry the result
   /// has timed_out = true and carries no answer, only partial-work
   /// telemetry.
   ComposeResult ComposedQuery(VertexId s, VertexId t, const Plan& plan,
-                              Scratch& scratch,
-                              const Deadline& deadline = {}) const;
-
-  /// True iff a purely intra-shard path s ⇝ t spelling seq^z (z >= 1)
-  /// exists (s and t must share a shard) — the index-free exact intra
-  /// answer for degraded probes whose shard index is unavailable. A set
-  /// `deadline` is stride-checked; on expiry returns false and sets
-  /// *timed_out (when given).
-  bool IntraProductReaches(VertexId s, VertexId t, const LabelSeq& seq,
-                           Scratch& scratch, const Deadline& deadline = {},
-                           bool* timed_out = nullptr) const;
+                              Scratch& scratch, const Deadline& deadline = {},
+                              bool need_intra = false) const;
 
   /// Mutation notifications (owner thread): bump the affected shards'
   /// epochs so stale tables refresh on next PreparePlan.

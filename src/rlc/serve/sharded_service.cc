@@ -520,28 +520,18 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
     const CompositionEngine::Plan& plan =
         compose_->PreparePlan(seq, &invalidated);
     if (invalidated > 0) c_.compose_invalidations.Add(invalidated);
-    // Degraded same-shard probes OR the index-free intra answer with the
-    // composed one: composition only covers walks using >= 1 cross edge,
-    // the intra product search covers the rest, and both are exact on the
-    // mutated graph.
-    bool probe_timed_out = false;
-    bool answer = need_intra &&
-                  compose_->IntraProductReaches(s, t, seq, compose_scratch_,
-                                                probe_deadline,
-                                                &probe_timed_out);
-    if (!answer && !probe_timed_out) {
-      const ComposeResult r = compose_->ComposedQuery(
-          s, t, plan, compose_scratch_, probe_deadline);
-      answer = r.reachable;
-      probe_timed_out = r.timed_out;
-      c_.compose_skeleton_hops.Add(r.skeleton_hops);
-      c_.compose_expanded.Add(r.expanded);
-      if (r.table_rows_built > 0) {
-        c_.compose_table_builds.Add(r.table_rows_built);
-      }
+    // Degraded same-shard probes also accept purely intra-shard witnesses
+    // (need_intra): the composed walk answers them exactly on the mutated
+    // graph, without the shard index.
+    const ComposeResult r = compose_->ComposedQuery(
+        s, t, plan, compose_scratch_, probe_deadline, need_intra);
+    c_.compose_skeleton_hops.Add(r.skeleton_hops);
+    c_.compose_expanded.Add(r.expanded);
+    if (r.table_rows_built > 0) {
+      c_.compose_table_builds.Add(r.table_rows_built);
     }
     const uint64_t elapsed = timed ? obs::NowNanos() - t0 : 0;
-    if (probe_timed_out) {
+    if (r.timed_out) {
       // The budget expired *inside* the traversal: the probe carries no
       // answer (overrun bounded by one deadline-check stride). The overrun
       // is compose-breaker failure evidence.
@@ -562,7 +552,7 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
     } else {
       BreakerOk(compose_breaker_);
     }
-    return answer;
+    return r.reachable;
   } catch (const UnavailableError&) {
     throw;
   } catch (const std::exception& e) {
@@ -987,22 +977,14 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
             const Deadline probe_deadline = EarlierOf(
                 deadline, Deadline::After(limits.probe_budget_ns, t0));
             FailpointHitFast(failpoints::kServeComposeProbe);
-            bool probe_timed_out = false;
-            bool ans = item.need_intra != 0 &&
-                       compose_->IntraProductReaches(
-                           p.s, p.t, seqs[item.seq_id], scratch,
-                           probe_deadline, &probe_timed_out);
-            if (!ans && !probe_timed_out) {
-              const ComposeResult r = compose_->ComposedQuery(
-                  p.s, p.t, *plans[item.seq_id], scratch, probe_deadline);
-              ans = r.reachable;
-              probe_timed_out = r.timed_out;
-              jb.hops += r.skeleton_hops;
-              jb.expanded += r.expanded;
-              jb.rows_built += r.table_rows_built;
-            }
+            const ComposeResult r = compose_->ComposedQuery(
+                p.s, p.t, *plans[item.seq_id], scratch, probe_deadline,
+                item.need_intra != 0);
+            jb.hops += r.skeleton_hops;
+            jb.expanded += r.expanded;
+            jb.rows_built += r.table_rows_built;
             const uint64_t elapsed = timed_probes ? obs::NowNanos() - t0 : 0;
-            if (probe_timed_out) {
+            if (r.timed_out) {
               // Aborted mid-traversal: partial telemetry, no answer. The
               // overrun counts only when the probe budget — not just the
               // batch deadline — was binding.
@@ -1014,7 +996,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
               continue;
             }
             if (timed_probes) jb.probe_ns[k] = elapsed;
-            jb.answers[k] = ans ? 1 : 0;
+            jb.answers[k] = r.reachable ? 1 : 0;
             jb.ran = true;
             if (limits.probe_budget_ns != 0 &&
                 elapsed > limits.probe_budget_ns) {

@@ -355,10 +355,11 @@ class ShardedRlcService {
   void BreakerOk(BreakerSlot& slot);
 
   /// One scalar composed probe, behind the compose breaker and the
-  /// serve.compose.probe failpoint. `need_intra` adds the index-free
-  /// intra-shard product search (degraded same-shard probes: without a
-  /// shard answer an intra witness may exist, and boundary refutation must
-  /// be skipped). Exact on the mutated graph.
+  /// serve.compose.probe failpoint. `need_intra` makes the composed walk
+  /// accept purely intra-shard witnesses too (degraded same-shard probes:
+  /// without a shard answer an intra witness may exist, and boundary
+  /// refutation must be skipped), so such a probe walks its shard once.
+  /// Exact on the mutated graph.
   /// \throws UnavailableError when the compose breaker denies or the probe
   ///         faults.
   bool ComposeProbe(VertexId s, VertexId t, const LabelSeq& seq,

@@ -423,6 +423,85 @@ TEST(CoveredSetTest, CoveredEntrySkipsItsRow) {
 }
 
 // ---------------------------------------------------------------------------
+// need_intra: a degraded probe makes one ComposedQuery call that also
+// accepts purely intra-shard witnesses, and must then answer exactly like
+// the whole graph — intra, cross-shard and mutated-overlay witnesses alike.
+
+/// kRange over 10 vertices and 2 shards: {0..4} | {5..9}. Inside shard 1,
+/// 5 -a-> 6 is an intra witness and 7 -a-> 8 -b-> 7 an aligned cycle under
+/// (a b)+ only; 5 ⇝ 8 under a+ leaves shard 1 (6 -> 0 -> 1 -> 7) and comes
+/// back.
+std::vector<Edge> IntraWitnessEdges() {
+  const Label a = 0, b = 1;
+  return {{5, 6, a}, {6, 0, a}, {0, 1, a}, {1, 7, a}, {7, 8, a}, {8, 7, b}};
+}
+
+TEST(IntraWitnessTest, NeedIntraMatchesWholeGraphOracle) {
+  std::vector<Edge> edges = IntraWitnessEdges();
+  const DiGraph g(10, edges, 2);
+  EngineParts parts = MakeParts(g, 2, PartitionPolicy::kRange);
+  ASSERT_EQ(parts.partition.ShardOf(4), 0u);
+  ASSERT_EQ(parts.partition.ShardOf(5), 1u);
+  CompositionEngine engine(parts.partition, parts.shards, ComposeOptions{});
+  CompositionEngine::Scratch scratch;
+  const LabelSeq a{Label{0}};
+  const LabelSeq ab{Label{0}, Label{1}};
+  const auto probe = [&](VertexId s, VertexId t, const LabelSeq& seq,
+                         bool need_intra) {
+    return engine
+        .ComposedQuery(s, t, engine.PreparePlan(seq), scratch, Deadline{},
+                       need_intra)
+        .reachable;
+  };
+  // With need_intra every pair — same-shard or not — gets the full answer.
+  const auto expect_oracle = [&](const char* stage) {
+    const RlcIndex oracle = BuildSealed(DiGraph(10, edges, 2), 2);
+    for (const LabelSeq& seq : {a, LabelSeq{Label{1}}, ab}) {
+      for (VertexId s = 0; s < 10; ++s) {
+        for (VertexId t = 0; t < 10; ++t) {
+          EXPECT_EQ(probe(s, t, seq, true), oracle.Query(s, t, seq))
+              << stage << " s=" << s << " t=" << t << " L=" << seq.ToString();
+        }
+      }
+    }
+  };
+
+  expect_oracle("base");
+  // An intra-only witness needs need_intra: composition alone demands a
+  // cross edge.
+  EXPECT_TRUE(probe(5, 6, a, true));
+  EXPECT_FALSE(probe(5, 6, a, false));
+  // s == t: the seed (s, 0) never counts; an aligned cycle does.
+  EXPECT_FALSE(probe(5, 5, a, true));
+  EXPECT_FALSE(probe(7, 7, a, true));
+  EXPECT_TRUE(probe(7, 7, ab, true));
+  // A witness that leaves the shard and comes back.
+  EXPECT_TRUE(probe(5, 8, a, true));
+  EXPECT_TRUE(probe(5, 8, a, false));
+
+  // Mutate shard(t) = shard 1 (local ids 7 -> 2, 8 -> 3, 9 -> 4): deleting
+  // the base edge 7 -a-> 8 cuts both witnesses into 8 ...
+  DynamicRlcIndex& shard1 = *parts.shards[1];
+  ASSERT_TRUE(shard1.DeleteEdge(2, 0, 3));
+  engine.OnIntraMutation(1);
+  edges.erase(std::find(edges.begin(), edges.end(), Edge{7, 8, 0}));
+  expect_oracle("after delete");
+  EXPECT_FALSE(probe(7, 8, a, true));
+  EXPECT_FALSE(probe(5, 8, a, true));
+  // ... and overlay edges 7 -a-> 9 -a-> 8 restore them. The forward walk
+  // from 7 and the reverse walk from (8, 0) both skip the shadowed base
+  // edge and follow the overlay.
+  ASSERT_TRUE(shard1.InsertEdge(2, 0, 4));
+  ASSERT_TRUE(shard1.InsertEdge(4, 0, 3));
+  engine.OnIntraMutation(1);
+  edges.push_back({7, 9, 0});
+  edges.push_back({9, 8, 0});
+  expect_oracle("after insert");
+  EXPECT_TRUE(probe(7, 8, a, true));
+  EXPECT_TRUE(probe(5, 8, a, false));
+}
+
+// ---------------------------------------------------------------------------
 // Mutate-then-reprobe differential: transition tables are functions of one
 // shard's graph, so every mutation must refresh the stale shard plans
 // before they answer again.

@@ -732,6 +732,38 @@ TEST(ServiceDurabilityTest, ReopenRecoversService) {
   fs::remove_all(dir);
 }
 
+// Composition reads a shard's base edges through
+// DynamicRlcIndex::base_graph(); recovery and revival must keep that the
+// partition's own subgraph.
+void ExpectShardsReadPartitionSubgraphs(const ShardedRlcService& service) {
+  for (uint32_t s = 0; s < service.partition().num_shards(); ++s) {
+    EXPECT_EQ(&service.shard_dynamic(s).base_graph(),
+              &service.partition().shard(s).graph)
+        << "shard " << s;
+  }
+}
+
+TEST(ServiceDurabilityTest, RecoveredShardsAliasPartitionSubgraphs) {
+  const DiGraph g = TestGraph(60, 240, 3, 0xA11A5);
+  const auto updates = MakeWorkload(g, 12, 0xA1);
+  const std::string dir = TempDir("alias");
+  {
+    ShardedRlcService service(g, DurableServiceOptions(dir));
+    ExpectShardsReadPartitionSubgraphs(service);
+    service.ApplyUpdates(updates);
+    service.Checkpoint();
+  }
+  ShardedRlcService service(g, DurableServiceOptions(dir));
+  ASSERT_TRUE(service.recovery_info().recovered);
+  ExpectShardsReadPartitionSubgraphs(service);
+  for (uint32_t s = 0; s < service.partition().num_shards(); ++s) {
+    service.ReviveShard(s);  // durable path: snapshot + WAL tail
+  }
+  ExpectShardsReadPartitionSubgraphs(service);
+  ExpectServiceIsPrefix(service, g, updates, updates.size());
+  fs::remove_all(dir);
+}
+
 TEST(ServiceDurabilityTest, KillAtPersistFailpoints) {
   const DiGraph g = TestGraph(60, 240, 3, 0x5EED);
   const auto updates = MakeWorkload(g, 8, 0xEF);

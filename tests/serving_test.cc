@@ -553,6 +553,32 @@ TEST(ServingTest, ApplyUpdatesWithBackgroundResealsAndExecThreads) {
   RunUpdateDifferential(options, 444);
 }
 
+// Composition reads a shard's base edges through
+// DynamicRlcIndex::base_graph(); that must be the partition's subgraph
+// itself, or composed walks would miss the graph the partition routes on.
+void ExpectShardsReadPartitionSubgraphs(const ShardedRlcService& service) {
+  for (uint32_t s = 0; s < service.partition().num_shards(); ++s) {
+    EXPECT_EQ(&service.shard_dynamic(s).base_graph(),
+              &service.partition().shard(s).graph)
+        << "shard " << s;
+  }
+}
+
+TEST(ServingTest, ShardIndexesAliasPartitionSubgraphs) {
+  const DiGraph g = RandomGraph(60, 240, 3, 556);
+  ShardedRlcService service(g, Opts(3, PartitionPolicy::kHash));
+  ExpectShardsReadPartitionSubgraphs(service);
+  std::vector<EdgeUpdate> updates;
+  for (VertexId v = 0; v + 1 < 12; ++v) {
+    updates.push_back({v, static_cast<Label>(v % 3), v + 1, EdgeOp::kInsert});
+  }
+  service.ApplyUpdates(updates);
+  for (uint32_t s = 0; s < service.partition().num_shards(); ++s) {
+    service.ReviveShard(s);  // rebuild path: no durable store
+  }
+  ExpectShardsReadPartitionSubgraphs(service);
+}
+
 TEST(ServingTest, ApplyUpdatesRejectsBadBatchWithoutApplyingAnything) {
   const DiGraph g = RandomGraph(60, 240, 3, 555);
   ShardedRlcService service(g, Opts(3, PartitionPolicy::kHash));
