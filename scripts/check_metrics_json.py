@@ -25,17 +25,22 @@ With --serving (for BENCH_serving.json), additionally:
      composed over the boundary skeleton, not silently routed through a
      resurrected whole-graph fallback tier,
   9. every {"record": "community"} and mode record with telemetry agrees
-     ("agree": true).
+     ("agree": true),
+ 10. row-build conservation: when serve.compose.table_builds > 0, a
+     serve.compose.row_states record exists and is >= table_builds — every
+     row-build DFS visits at least its start state, so fewer states than
+     builds means a build went uncounted or the counter stopped being
+     exported.
 
 With --compose-p95 RATIO (nightly, for BENCH_serving.json), additionally:
- 10. both {"record": "compose_p95"} policies (hash, range_ordered) exist
+ 11. both {"record": "compose_p95"} policies (hash, range_ordered) exist
      with samples, and p95(hash) <= RATIO * p95(range_ordered) — the
      composed-probe tail under the composition-heavy hash partitioning
      stays within RATIO of the locality-friendly policy at equal shard
      count.
 
 With --memory N (for BENCH_serving.json from an N-shard run), additionally:
-  11. a {"record": "memory"} summary exists whose
+  12. a {"record": "memory"} summary exists whose
       aggregate_shard_index_bytes / whole_index_bytes <= 1.3 / N — the
       sharded deployment actually divides index memory instead of
       duplicating it.
@@ -98,6 +103,23 @@ def check_serving(path: str, records: list) -> None:
             if rec.get("agree") is not True:
                 fail(f"{path}: record {rec.get('record') or rec.get('mode')!r} "
                      "disagrees with the whole-graph oracle")
+
+    # Row-build conservation, per registry (records carry their source):
+    # every row-build DFS visits at least its start state.
+    by_source = {}
+    for rec in records:
+        if rec.get("record") == "metric" and rec.get("type") == "counter":
+            by_source.setdefault(rec.get("source"), {})[rec.get("metric")] = \
+                rec.get("value", 0)
+    for source, values in sorted(by_source.items(), key=lambda kv: str(kv[0])):
+        builds = values.get("serve.compose.table_builds", 0)
+        if builds <= 0:
+            continue
+        states = values.get("serve.compose.row_states")
+        if states is None or states < builds:
+            fail(f"{path}: source {source!r} has serve.compose.table_builds="
+                 f"{builds} but serve.compose.row_states={states} — every "
+                 "row build visits at least its start state")
 
     compose = {k: v for k, v in counters.items()
                if k.startswith("serve.compose.") and v > 0}

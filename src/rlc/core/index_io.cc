@@ -494,7 +494,7 @@ RlcIndex LoadIndex(const std::string& path) {
 namespace {
 
 constexpr uint64_t kComposeCacheMagic = 0x524C43434D50ULL;  // "RLCCMP"
-constexpr uint32_t kComposeCacheVersion = 1;
+constexpr uint32_t kComposeCacheVersion = 2;
 
 uint64_t BytesChecksum(std::span<const uint8_t> bytes) {
   uint64_t h = kSignatureChecksumSeed;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "rlc/obs/metrics.h"
 #include "rlc/util/common.h"
@@ -50,8 +52,8 @@ Arrival Mark(std::vector<uint32_t>& stamps, uint64_t pid, uint32_t stamp) {
 
 /// The in-walk deadline check of one probe, shared by all of its walks:
 /// one clock read per kDeadlineCheckStride pops, so overrun past the
-/// deadline is bounded by one stride of work (plus at most one table-row
-/// build) instead of a whole skeleton walk.
+/// deadline is bounded by one stride of work (plus at most one row build)
+/// instead of a whole skeleton walk.
 class DeadlineGate {
  public:
   explicit DeadlineGate(Deadline deadline) : deadline_(deadline) {}
@@ -67,7 +69,7 @@ class DeadlineGate {
   uint32_t ticks_ = CompositionEngine::kDeadlineCheckStride;
 };
 
-/// The one intra-shard product walk: a BFS over the shard-local product
+/// The probe's intra-shard product walk: a BFS over the shard-local product
 /// states (local vertex * j + position) of `dyn`'s mutated graph under
 /// `seq`. Forward, (v, p) steps over an edge labeled seq[p] to position
 /// p + 1; in reverse, over the edge labeled seq[p - 1] that led into
@@ -100,6 +102,13 @@ WalkEnd WalkShard(const DynamicRlcIndex& dyn, const LabelSeq& seq,
   return WalkEnd::kDone;
 }
 
+/// ShardPlan::build_state words: 0 is unvisited, values below kFinished
+/// are DFS indices of states on the current build's stack, and
+/// kFinished | id marks a finished state whose row is owned[id] — kNoRow
+/// when it reaches no boundary state.
+constexpr uint32_t kFinished = uint32_t{1} << 31;
+constexpr uint32_t kNoRow = kFinished - 1;
+
 }  // namespace
 
 CompositionEngine::CompositionEngine(
@@ -109,7 +118,9 @@ CompositionEngine::CompositionEngine(
     : partition_(partition),
       shards_(shards),
       options_(options),
-      epochs_(partition.num_shards(), 0) {
+      epochs_(partition.num_shards(), 0),
+      ords_(partition.num_shards()),
+      ord_epochs_(partition.num_shards(), 0) {
   for (uint32_t s = 0; s < partition.num_shards(); ++s) {
     num_vertices_ += static_cast<VertexId>(partition.shard(s).global_of.size());
   }
@@ -123,11 +134,19 @@ void CompositionEngine::BuildShardPlan(Plan& plan, uint32_t s) {
   const uint64_t states = static_cast<uint64_t>(sp->num_boundary) * plan.j;
   sp->tables = states > 0 && states <= options_.table_budget_nodes;
   if (sp->tables) {
-    sp->boundary_ord.assign(shard.graph.num_vertices(), -1);
-    for (uint32_t i = 0; i < sp->num_boundary; ++i) {
-      sp->boundary_ord[shard.boundary[i]] = static_cast<int32_t>(i);
+    // The ordinal map depends on the shard's boundary list only, which
+    // moves only with the shard's epoch: plans of every constraint share
+    // one copy.
+    if (ords_[s] == nullptr || ord_epochs_[s] != epochs_[s]) {
+      auto ord =
+          std::make_shared<std::vector<int32_t>>(shard.graph.num_vertices(), -1);
+      for (uint32_t i = 0; i < sp->num_boundary; ++i) {
+        (*ord)[shard.boundary[i]] = static_cast<int32_t>(i);
+      }
+      ords_[s] = std::move(ord);
+      ord_epochs_[s] = epochs_[s];
     }
-    sp->rows = std::vector<std::atomic<const BoundaryRow*>>(states);
+    sp->boundary_ord = ords_[s];
   }
   plan.shards[s] = std::move(sp);
 }
@@ -184,56 +203,142 @@ void CompositionEngine::EnsureScratch(Scratch& scratch, uint32_t j) const {
 
 const CompositionEngine::BoundaryRow* CompositionEngine::GetRow(
     ShardPlan& sp, uint32_t s, uint32_t row_idx, const Plan& plan,
-    uint32_t* built) const {
-  const BoundaryRow* row = sp.rows[row_idx].load(std::memory_order_acquire);
-  if (row) return row;
+    ComposeResult& result) const {
+  if (const BoundaryRow* row = sp.Row(row_idx)) return row;
   std::lock_guard<std::mutex> lock(sp.build_mu);
-  row = sp.rows[row_idx].load(std::memory_order_relaxed);
-  if (row) return row;
+  if (const BoundaryRow* row = sp.Row(row_idx)) return row;
 
   const uint32_t j = plan.j;
   const ShardInfo& shard = partition_.shard(s);
+  const std::vector<int32_t>& ords = *sp.boundary_ord;
   const uint64_t local_states =
       static_cast<uint64_t>(shard.graph.num_vertices()) * j;
-  if (sp.build_stamp.size() < local_states) {
-    sp.build_stamp.resize(local_states, 0);
+  RLC_REQUIRE(local_states < kNoRow, "CompositionEngine: shard too large");
+  if (sp.slots == nullptr) {
+    sp.slots = std::make_unique<std::atomic<const BoundaryRow*>[]>(
+        static_cast<size_t>(sp.num_boundary) * j);
+    sp.rows.store(sp.slots.get(), std::memory_order_release);
   }
-  if (++sp.build_counter == 0) {
-    std::fill(sp.build_stamp.begin(), sp.build_stamp.end(), 0u);
-    sp.build_counter = 1;
+  if (sp.build_state.size() < local_states) {
+    sp.build_state.resize(local_states, 0);
   }
-  const uint32_t bstamp = sp.build_counter;
+  std::vector<uint32_t>& state = sp.build_state;
+  const size_t words = (static_cast<size_t>(sp.num_boundary) * j + 63) / 64;
+  const auto boundary_bit = [&](uint64_t pid) -> int64_t {
+    const int32_t ord = ords[pid / j];
+    return ord < 0 ? -1 : static_cast<int64_t>(ord) * j + pid % j;
+  };
 
-  auto fresh = std::make_unique<BoundaryRow>();
-  fresh->bits.assign(
-      (static_cast<uint64_t>(sp.num_boundary) * j + 63) / 64, 0);
+  // Iterative Tarjan DFS from the requested state: a frame carries its
+  // state's DFS index and lowlink, and an on-stack state's word holds its
+  // DFS index. `succ` stacks the unexplored successors of every open
+  // frame; `succ_rows` stacks the rows the open components reach through
+  // finished states, each component's share starting at its root frame's
+  // rows_base. A build is not deadline-gated: it is the "plus one row
+  // build" of the overrun bound.
+  struct Frame {
+    uint32_t index, low;
+    size_t succ_base, rows_base, stack_base;
+  };
+  std::vector<Frame> frames;
+  std::vector<uint64_t> succ, scc_stack;
+  std::vector<uint32_t> succ_rows;
+  std::vector<uint64_t> acc(words);
+  uint32_t next_index = 0;
+  const auto enter = [&](uint64_t pid) {
+    state[pid] = ++next_index;
+    frames.push_back({next_index, next_index, succ.size(), succ_rows.size(),
+                      scc_stack.size()});
+    scc_stack.push_back(pid);
+    const uint32_t p = static_cast<uint32_t>(pid % j);
+    const uint32_t np = (p + 1) % j;
+    shards_[s]->ForEachEdge(static_cast<VertexId>(pid / j), plan.seq[p],
+                            /*backward=*/false, [&](VertexId w) {
+                              succ.push_back(static_cast<uint64_t>(w) * j + np);
+                              return true;
+                            });
+    ++result.row_states;
+  };
+  // Finishes the component rooted at `root`: its row is its boundary
+  // members' bits ORed with the rows it reaches. A component without a
+  // boundary member reuses a reached row that equals the union (with a
+  // boundary member, the union holds a bit no downstream row can hold).
+  const auto finish = [&](const Frame& root) {
+    const auto first = succ_rows.begin() + static_cast<ptrdiff_t>(root.rows_base);
+    std::sort(first, succ_rows.end());
+    const auto last = std::unique(first, succ_rows.end());
+    bool own = false;
+    for (size_t i = root.stack_base; i < scc_stack.size() && !own; ++i) {
+      own = boundary_bit(scc_stack[i]) >= 0;
+    }
+    uint32_t id = kNoRow;
+    if (!own && last - first == 1) {
+      id = *first;
+    } else if (own || first != last) {
+      std::fill(acc.begin(), acc.end(), 0);
+      for (size_t i = root.stack_base; i < scc_stack.size(); ++i) {
+        const int64_t bit = boundary_bit(scc_stack[i]);
+        if (bit >= 0) acc[bit / 64] |= uint64_t{1} << (bit % 64);
+      }
+      for (auto it = first; it != last; ++it) {
+        const std::vector<uint64_t>& bits = sp.owned[*it]->bits;
+        for (size_t w = 0; w < words; ++w) acc[w] |= bits[w];
+      }
+      for (auto it = first; !own && it != last; ++it) {
+        if (sp.owned[*it]->bits == acc) id = *it;
+      }
+      if (id == kNoRow) {
+        id = static_cast<uint32_t>(sp.owned.size());
+        sp.owned.push_back(std::make_unique<BoundaryRow>(BoundaryRow{acc}));
+      }
+    }
+    const BoundaryRow* row = id == kNoRow ? nullptr : sp.owned[id].get();
+    for (size_t i = root.stack_base; i < scc_stack.size(); ++i) {
+      state[scc_stack[i]] = kFinished | id;
+      const int64_t bit = boundary_bit(scc_stack[i]);
+      if (bit >= 0) sp.slots[bit].store(row, std::memory_order_release);
+    }
+    scc_stack.resize(root.stack_base);
+    succ_rows.resize(root.rows_base);
+    return id;
+  };
 
-  // Every boundary product state the row's start reaches inside the shard
-  // — the start itself included — sets its bit. A row build is not
-  // deadline-gated: it is the "plus one row build" of the overrun bound.
   const uint64_t start =
       static_cast<uint64_t>(shard.boundary[row_idx / j]) * j + row_idx % j;
-  sp.build_stamp[start] = bstamp;
-  sp.build_queue.assign(1, start);
-  DeadlineGate unbounded{Deadline{}};
-  WalkShard</*kReverse=*/false>(
-      *shards_[s], plan.seq, sp.build_queue, unbounded,
-      [&](VertexId lu, uint32_t q) {
-        const int32_t ord = sp.boundary_ord[lu];
-        if (ord < 0) return;
-        const uint64_t bit = static_cast<uint64_t>(ord) * j + q;
-        fresh->bits[bit / 64] |= uint64_t{1} << (bit % 64);
-      },
-      [&](VertexId lw, uint32_t nq) {
-        return Mark(sp.build_stamp, static_cast<uint64_t>(lw) * j + nq,
-                    bstamp);
-      });
-
-  const BoundaryRow* ptr = fresh.get();
-  sp.owned.push_back(std::move(fresh));
-  sp.rows[row_idx].store(ptr, std::memory_order_release);
-  if (built) ++(*built);
-  return ptr;
+  try {
+    enter(start);
+    while (!frames.empty()) {
+      Frame& f = frames.back();
+      if (succ.size() > f.succ_base) {
+        const uint64_t w = succ.back();
+        succ.pop_back();
+        const uint32_t sw = state[w];
+        if (sw == 0) {
+          enter(w);
+        } else if (sw < kFinished) {
+          f.low = std::min(f.low, sw);
+        } else if (sw != (kFinished | kNoRow)) {
+          succ_rows.push_back(sw & ~kFinished);
+        }
+        continue;
+      }
+      const Frame done = f;
+      frames.pop_back();
+      if (done.low < done.index) {
+        frames.back().low = std::min(frames.back().low, done.low);
+        continue;
+      }
+      const uint32_t id = finish(done);
+      if (!frames.empty() && id != kNoRow) succ_rows.push_back(id);
+    }
+  } catch (...) {
+    // States still on the stack would read as DFS indices to the next
+    // build: leave them unvisited. Finished states keep their rows.
+    for (const uint64_t pid : scc_stack) state[pid] = 0;
+    throw;
+  }
+  ++result.table_rows_built;
+  return sp.slots[row_idx].load(std::memory_order_relaxed);
 }
 
 ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
@@ -349,7 +454,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       // Boundary-transition row: every intra-reachable boundary exit.
       // Skeleton entries are cross-edge heads, so v is always a boundary
       // vertex with a valid ordinal.
-      const int32_t ord = sp.boundary_ord[partition_.LocalOf(v)];
+      const int32_t ord = (*sp.boundary_ord)[partition_.LocalOf(v)];
       const uint32_t row_idx = static_cast<uint32_t>(ord) * j + p;
       std::vector<uint64_t>& covered = scratch.covered[sv];
       if (scratch.covered_stamp[sv] != stamp) {
@@ -360,8 +465,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       // A covered entry lies in a scanned row, so its own row is a subset
       // of that row and every exit it holds was already emitted.
       if ((covered[row_idx / 64] >> (row_idx % 64)) & 1) continue;
-      const BoundaryRow* row =
-          GetRow(sp, sv, row_idx, plan, &result.table_rows_built);
+      const BoundaryRow* row = GetRow(sp, sv, row_idx, plan, result);
       const ShardInfo& shard = partition_.shard(sv);
       for (size_t w = 0; w < row->bits.size(); ++w) {
         uint64_t fresh = row->bits[w] & ~covered[w];
@@ -393,7 +497,9 @@ std::vector<uint8_t> CompositionEngine::SerializeCache() const {
   std::vector<uint8_t> out;
   AppendU32(out, partition_.num_shards());
   AppendU32(out, static_cast<uint32_t>(plans_.size()));
-  // Deterministic payload: plans in constraint order, rows in slot order.
+  // Deterministic payload: plans in constraint order; per shard plan its
+  // distinct rows in order of their first slot, then the built slots in
+  // slot order, each naming its row.
   std::vector<const Plan*> ordered;
   ordered.reserve(plans_.size());
   for (const auto& [seq, plan] : plans_) ordered.push_back(plan.get());
@@ -411,20 +517,29 @@ std::vector<uint8_t> CompositionEngine::SerializeCache() const {
       const ShardPlan& sp = *plan->shards[s];
       out.push_back(sp.tables ? 1 : 0);
       AppendU32(out, sp.num_boundary);
-      uint32_t built = 0;
-      for (const auto& slot : sp.rows) {
-        if (slot.load(std::memory_order_acquire) != nullptr) ++built;
-      }
-      AppendU32(out, built);
       if (!sp.tables) continue;
       const uint32_t words = static_cast<uint32_t>(
           (static_cast<uint64_t>(sp.num_boundary) * plan->j + 63) / 64);
-      AppendU32(out, words);
-      for (uint32_t idx = 0; idx < sp.rows.size(); ++idx) {
-        const BoundaryRow* row = sp.rows[idx].load(std::memory_order_acquire);
+      std::unordered_map<const BoundaryRow*, uint32_t> ref_of;
+      std::vector<const BoundaryRow*> rows;
+      std::vector<std::pair<uint32_t, uint32_t>> slots;  // (slot, row ref)
+      for (uint32_t idx = 0; idx < sp.num_boundary * plan->j; ++idx) {
+        const BoundaryRow* row = sp.Row(idx);
         if (row == nullptr) continue;
-        AppendU32(out, idx);
+        const auto [it, fresh] =
+            ref_of.emplace(row, static_cast<uint32_t>(rows.size()));
+        if (fresh) rows.push_back(row);
+        slots.emplace_back(idx, it->second);
+      }
+      AppendU32(out, words);
+      AppendU32(out, static_cast<uint32_t>(rows.size()));
+      for (const BoundaryRow* row : rows) {
         for (const uint64_t w : row->bits) AppendU64(out, w);
+      }
+      AppendU32(out, static_cast<uint32_t>(slots.size()));
+      for (const auto& [idx, ref] : slots) {
+        AppendU32(out, idx);
+        AppendU32(out, ref);
       }
     }
   }
@@ -453,42 +568,56 @@ bool CompositionEngine::RestoreCache(std::span<const uint8_t> bytes) {
         RLC_REQUIRE(off < bytes.size(), "compose cache: truncated payload");
         const bool tables = bytes[off++] != 0;
         const uint32_t num_boundary = ReadU32(bytes, off);
-        const uint32_t built = ReadU32(bytes, off);
         // A shape mismatch means the payload was written against a
         // different partition state: stay cold rather than trust it.
         if (tables != sp.tables || num_boundary != sp.num_boundary) {
           plans_.clear();
           return false;
         }
-        if (!sp.tables) {
-          if (built != 0) {
-            plans_.clear();
-            return false;
-          }
-          continue;
-        }
+        if (!sp.tables) continue;
+        const uint32_t num_slots = sp.num_boundary * plan.j;
         const uint32_t words = ReadU32(bytes, off);
-        const uint32_t expect_words = static_cast<uint32_t>(
-            (static_cast<uint64_t>(sp.num_boundary) * plan.j + 63) / 64);
-        if (words != expect_words || built > sp.rows.size()) {
+        const uint32_t expect_words = (num_slots + 63) / 64;
+        const uint32_t num_rows = ReadU32(bytes, off);
+        if (words != expect_words || num_rows > num_slots) {
           plans_.clear();
           return false;
         }
-        for (uint32_t r = 0; r < built; ++r) {
-          const uint32_t idx = ReadU32(bytes, off);
-          if (idx >= sp.rows.size() ||
-              sp.rows[idx].load(std::memory_order_relaxed) != nullptr) {
-            plans_.clear();
-            return false;
-          }
+        const size_t first_id = sp.owned.size();
+        for (uint32_t r = 0; r < num_rows; ++r) {
           auto row = std::make_unique<BoundaryRow>();
           row->bits.resize(words);
           for (uint32_t w = 0; w < words; ++w) {
             row->bits[w] = ReadU64(bytes, off);
           }
-          const BoundaryRow* ptr = row.get();
           sp.owned.push_back(std::move(row));
-          sp.rows[idx].store(ptr, std::memory_order_release);
+        }
+        const uint32_t built = ReadU32(bytes, off);
+        if (built > num_slots || (built == 0) != (num_rows == 0)) {
+          plans_.clear();
+          return false;
+        }
+        if (built == 0) continue;
+        // Restored slots are finished states to later builds, which OR in
+        // their rows instead of walking past them.
+        sp.slots = std::make_unique<std::atomic<const BoundaryRow*>[]>(num_slots);
+        sp.rows.store(sp.slots.get(), std::memory_order_release);
+        const ShardInfo& shard = partition_.shard(s);
+        sp.build_state.assign(
+            static_cast<size_t>(shard.graph.num_vertices()) * plan.j, 0);
+        for (uint32_t b = 0; b < built; ++b) {
+          const uint32_t idx = ReadU32(bytes, off);
+          const uint32_t ref = ReadU32(bytes, off);
+          if (idx >= num_slots || ref >= num_rows ||
+              sp.Row(idx) != nullptr) {
+            plans_.clear();
+            return false;
+          }
+          const uint32_t id = static_cast<uint32_t>(first_id + ref);
+          sp.slots[idx].store(sp.owned[id].get(), std::memory_order_release);
+          sp.build_state[static_cast<uint64_t>(shard.boundary[idx / plan.j]) *
+                             plan.j +
+                         idx % plan.j] = kFinished | id;
         }
       }
     }
@@ -505,18 +634,27 @@ bool CompositionEngine::RestoreCache(std::span<const uint8_t> bytes) {
 
 uint64_t CompositionEngine::MemoryBytes() const {
   uint64_t bytes = 0;
+  std::unordered_set<const std::vector<int32_t>*> ords;
+  const auto count_ord = [&](const std::vector<int32_t>* ord) {
+    if (ord != nullptr && ords.insert(ord).second) {
+      bytes += ord->capacity() * sizeof(int32_t);
+    }
+  };
+  for (const auto& ord : ords_) count_ord(ord.get());
   for (const auto& [seq, plan] : plans_) {
     for (const auto& spp : plan->shards) {
       ShardPlan& sp = *spp;
       bytes += sizeof(ShardPlan);
-      bytes += sp.boundary_ord.capacity() * sizeof(int32_t);
-      bytes += sp.rows.size() * sizeof(std::atomic<const BoundaryRow*>);
+      count_ord(sp.boundary_ord.get());
       std::lock_guard<std::mutex> lock(sp.build_mu);
+      if (sp.slots != nullptr) {
+        bytes += static_cast<uint64_t>(sp.num_boundary) * plan->j *
+                 sizeof(std::atomic<const BoundaryRow*>);
+      }
       for (const auto& row : sp.owned) {
         bytes += sizeof(BoundaryRow) + row->bits.capacity() * sizeof(uint64_t);
       }
-      bytes += sp.build_stamp.capacity() * sizeof(uint32_t);
-      bytes += sp.build_queue.capacity() * sizeof(uint64_t);
+      bytes += sp.build_state.capacity() * sizeof(uint32_t);
     }
   }
   return bytes;

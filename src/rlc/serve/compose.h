@@ -27,23 +27,30 @@
 //      inside a shard comes from its per-(shard, constraint) boundary
 //      transition table when the shard's boundary product graph fits the
 //      table budget — row (b, p) is the bitset of boundary product states
-//      (b', p') intra-reachable from (b, p), built lazily one product walk
-//      per touched row and reused across probes — or, over budget, from an
+//      (b', p') intra-reachable from (b, p) — or, over budget, from an
 //      incremental per-probe product walk whose visited set is shared by
 //      every entry into that shard (monotone, so a probe expands each
-//      shard's product graph at most once). Table hops dedup exits word-
-//      parallel: the probe ORs every scanned row into a per-shard covered
-//      set and emits cross hops only for the bits a row adds to it. An
-//      entry whose own bit is already covered is skipped without reading
-//      its row: the row that covered it starts at a state that intra-
-//      reaches the entry, so it already holds the entry's whole row.
+//      shard's product graph at most once). Rows build lazily and are
+//      reused across probes: a missing row starts one iterative Tarjan
+//      DFS over the shard's product graph (Purdom 1970; Nuutila &
+//      Soisalon-Soininen 1994). Every state of one product SCC has the
+//      same row — its boundary members' bits ORed with its successor
+//      components' rows — so the DFS publishes the row of every boundary
+//      state it finishes, each boundary member of a component pointing at
+//      the component's one row object. A later build never re-enters a
+//      finished state; it ORs in that state's row. Table hops dedup exits
+//      word-parallel: the probe ORs every scanned row into a per-shard
+//      covered set and emits cross hops only for the bits a row adds to
+//      it. An entry whose own bit is already covered is skipped without
+//      reading its row: the row that covered it starts at a state that
+//      intra-reaches the entry, so it already holds the entry's whole row.
 //
-// All four intra-shard traversals — the source-shard suffix, the reverse
-// target-shard prefix, row builds and on-the-fly expansion — are one
+// The three per-probe intra-shard traversals — the source-shard suffix,
+// the reverse target-shard prefix and on-the-fly expansion — are one
 // walker (WalkShard in compose.cc), templated on direction, with the
-// caller's visited mark and pop callback. It reads edges through
-// DynamicRlcIndex::ForEachEdge, so the mutated-graph filter lives in one
-// place.
+// caller's visited mark and pop callback. It and the row-build DFS read
+// edges through DynamicRlcIndex::ForEachEdge, so the mutated-graph filter
+// lives in one place.
 //
 // Correctness does not depend on any shard index: every traversal walks
 // the live mutated graph (shard subgraphs + DynamicRlcIndex overlays +
@@ -62,9 +69,9 @@
 //
 // Thread contract: PreparePlan, mutation notifications and cache
 // serialization are owner-thread-only. ComposedQuery on a prepared plan is
-// safe to fan out across a worker pool (per-call Scratch; lazy row
-// construction is published with acquire/release atomics under a
-// per-shard build mutex).
+// safe to fan out across a worker pool (per-call Scratch; row builds run
+// under a per-shard-plan build mutex and publish the lazily allocated
+// slot array and each row with release stores, read with acquire).
 
 #pragma once
 
@@ -95,12 +102,15 @@ struct ComposeOptions {
 };
 
 /// Telemetry of one composed probe (the caller folds these into its
-/// metrics registry; sums are independent of thread count).
+/// metrics registry). Hops and expansions are independent of thread
+/// count; row-build counts are not, since a build also finishes the rows
+/// a concurrent probe would otherwise have built.
 struct ComposeResult {
   bool reachable = false;
   /// The deadline expired mid-traversal: `reachable` is meaningless, the
   /// probe carries no answer. Overrun is bounded by one deadline-check
-  /// stride (kDeadlineCheckStride pops) or one table-row build.
+  /// stride (kDeadlineCheckStride pops) or one row build (one DFS, which
+  /// visits only states the start reaches).
   bool timed_out = false;
   uint32_t skeleton_hops = 0;  ///< skeleton entries popped
   /// Product states the probe's own walks reached: the source-shard
@@ -109,14 +119,20 @@ struct ComposeResult {
   /// short — by the deadline or, with need_intra, by an intra witness —
   /// counts its partial queue.
   uint32_t expanded = 0;
-  uint32_t table_rows_built = 0;  ///< transition rows built by this call
+  /// Row-build traversals this call ran: one per missing row it fetched,
+  /// however many rows that DFS published.
+  uint32_t table_rows_built = 0;
+  /// Product states those row builds visited (each build visits its start
+  /// at least, so row_states >= table_rows_built).
+  uint32_t row_states = 0;
 };
 
 class CompositionEngine {
  public:
   /// Deadline granularity: traversal loops read the clock once per this
   /// many pops/expansions, so deadline overrun inside a probe is bounded
-  /// by one stride (plus at most one table-row build).
+  /// by one stride (plus at most one row build: a DFS over states the
+  /// requested row's start reaches, never re-entering finished ones).
   static constexpr uint32_t kDeadlineCheckStride = 128;
 
   /// One boundary-transition row: bitset over the shard's boundary product
@@ -132,15 +148,29 @@ class CompositionEngine {
     uint64_t epoch = 0;        ///< engine shard epoch at build time
     bool tables = false;       ///< boundary product graph within budget
     uint32_t num_boundary = 0;
-    /// local id -> boundary ordinal, -1 interior (tables only).
-    std::vector<int32_t> boundary_ord;
-    std::vector<std::atomic<const BoundaryRow*>> rows;  ///< |B| * j slots
+    /// local id -> boundary ordinal, -1 interior (tables only). One copy
+    /// per shard and epoch, shared by the plans of every constraint.
+    std::shared_ptr<const std::vector<int32_t>> boundary_ord;
+    /// The |B| * j row slots (ordinal * j + position). Null until the
+    /// plan's first row build allocates them; published with release.
+    std::atomic<std::atomic<const BoundaryRow*>*> rows{nullptr};
     std::mutex build_mu;
-    std::vector<std::unique_ptr<BoundaryRow>> owned;  ///< guarded by build_mu
-    /// Row-build scratch, guarded by build_mu.
-    std::vector<uint32_t> build_stamp;
-    uint32_t build_counter = 0;
-    std::vector<uint64_t> build_queue;
+    /// Guarded by build_mu: storage behind `rows`, and every row object
+    /// (a row's id is its index here; boundary states of one product SCC
+    /// share one object).
+    std::unique_ptr<std::atomic<const BoundaryRow*>[]> slots;
+    std::vector<std::unique_ptr<BoundaryRow>> owned;
+    /// Guarded by build_mu, allocated by the first row build: one word
+    /// per local product state (local vertex * j + position) — 0
+    /// unvisited, an on-stack DFS index during a build, or a finished
+    /// state's row id (kFinished | id, see compose.cc).
+    std::vector<uint32_t> build_state;
+
+    /// The published row of slot `idx`, or null when it is not built.
+    const BoundaryRow* Row(uint32_t idx) const {
+      const auto* r = rows.load(std::memory_order_acquire);
+      return r == nullptr ? nullptr : r[idx].load(std::memory_order_acquire);
+    }
   };
 
   /// One constraint's composition plan.
@@ -210,20 +240,23 @@ class CompositionEngine {
   void InvalidateAll() { plans_.clear(); }
 
   /// Serializes the built transition rows (warm-cache checkpoint payload;
-  /// index_io.h frames it into a file). Deterministic for a fixed cache
+  /// index_io.h frames it into a file): each distinct row object once,
+  /// then the slots that reference it. Deterministic for a fixed cache
   /// state. Owner thread only.
   std::vector<uint8_t> SerializeCache() const;
 
-  /// Restores a SerializeCache payload. Returns false (leaving the cache
-  /// cold but the engine fully usable) when the payload does not match
-  /// the current partition shape. Owner thread only, before any
-  /// concurrent queries.
+  /// Restores a SerializeCache payload, one row object per distinct row,
+  /// so restored slots share rows exactly as the saved ones did. Returns
+  /// false (leaving the cache cold but the engine fully usable) when the
+  /// payload does not match the current partition shape. Owner thread
+  /// only, before any concurrent queries.
   bool RestoreCache(std::span<const uint8_t> bytes);
 
   const ComposeOptions& options() const { return options_; }
   size_t num_cached_plans() const { return plans_.size(); }
 
-  /// Heap footprint of the plan cache (tables, ordinal maps) in bytes.
+  /// Heap footprint of the plan cache (tables, ordinal maps, row-build
+  /// state) in bytes; a shared ordinal map counts once.
   uint64_t MemoryBytes() const;
 
  private:
@@ -231,10 +264,11 @@ class CompositionEngine {
   void BuildShardPlan(Plan& plan, uint32_t s);
 
   /// Returns the transition row for boundary product state `row_idx`
-  /// of shard `s`, building and publishing it on first use. `built` is
-  /// incremented when this call did the build.
+  /// of shard `s`. A missing row runs one Tarjan DFS from it, which
+  /// publishes the row of every boundary state it finishes; the build
+  /// counts into `result.table_rows_built` and `result.row_states`.
   const BoundaryRow* GetRow(ShardPlan& sp, uint32_t s, uint32_t row_idx,
-                            const Plan& plan, uint32_t* built) const;
+                            const Plan& plan, ComposeResult& result) const;
 
   void EnsureScratch(Scratch& scratch, uint32_t j) const;
 
@@ -242,6 +276,10 @@ class CompositionEngine {
   const std::vector<std::unique_ptr<DynamicRlcIndex>>& shards_;
   ComposeOptions options_;
   std::vector<uint64_t> epochs_;
+  /// Per shard: the boundary ordinal map table plans share, and the epoch
+  /// it was built at.
+  std::vector<std::shared_ptr<const std::vector<int32_t>>> ords_;
+  std::vector<uint64_t> ord_epochs_;
   std::unordered_map<LabelSeq, std::unique_ptr<Plan>, LabelSeqHash> plans_;
   VertexId num_vertices_ = 0;
 };

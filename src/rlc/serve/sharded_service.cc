@@ -25,6 +25,7 @@ ShardedRlcService::ServiceCounters::ServiceCounters(obs::Registry& reg)
       compose_probes(reg.GetCounter("serve.compose.probes")),
       compose_skeleton_hops(reg.GetCounter("serve.compose.skeleton_hops")),
       compose_table_builds(reg.GetCounter("serve.compose.table_builds")),
+      compose_row_states(reg.GetCounter("serve.compose.row_states")),
       compose_invalidations(reg.GetCounter("serve.compose.invalidations")),
       compose_expanded(reg.GetCounter("serve.compose.expanded")),
       batches(reg.GetCounter("serve.batches")),
@@ -529,6 +530,7 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
     c_.compose_expanded.Add(r.expanded);
     if (r.table_rows_built > 0) {
       c_.compose_table_builds.Add(r.table_rows_built);
+      c_.compose_row_states.Add(r.row_states);
     }
     const uint64_t elapsed = timed ? obs::NowNanos() - t0 : 0;
     if (r.timed_out) {
@@ -933,6 +935,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         uint64_t hops = 0;
         uint64_t expanded = 0;
         uint64_t rows_built = 0;
+        uint64_t row_states = 0;
         uint64_t overruns = 0;
         bool ran = false;
         bool failed = false;
@@ -983,6 +986,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
             jb.hops += r.skeleton_hops;
             jb.expanded += r.expanded;
             jb.rows_built += r.table_rows_built;
+            jb.row_states += r.row_states;
             const uint64_t elapsed = timed_probes ? obs::NowNanos() - t0 : 0;
             if (r.timed_out) {
               // Aborted mid-traversal: partial telemetry, no answer. The
@@ -1024,7 +1028,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
       }
 
       // Merge, sequentially and in item order.
-      uint64_t hops = 0, expanded = 0, rows_built = 0;
+      uint64_t hops = 0, expanded = 0, rows_built = 0, row_states = 0;
       for (const ComposeJob& jb : compose_jobs) {
         for (size_t k = 0; k < jb.count; ++k) {
           const uint32_t i = items[jb.first + k].probe;
@@ -1042,6 +1046,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         hops += jb.hops;
         expanded += jb.expanded;
         rows_built += jb.rows_built;
+        row_states += jb.row_states;
         total_overruns += jb.overruns;
         any_ran = any_ran || jb.ran;
         any_failed = any_failed || jb.failed;
@@ -1049,7 +1054,10 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
       }
       c_.compose_skeleton_hops.Add(hops);
       c_.compose_expanded.Add(expanded);
-      if (rows_built > 0) c_.compose_table_builds.Add(rows_built);
+      if (rows_built > 0) {
+        c_.compose_table_builds.Add(rows_built);
+        c_.compose_row_states.Add(row_states);
+      }
     }
     if (total_overruns > 0) c_.compose_overruns.Add(total_overruns);
     // Breaker evidence, once per batch: any failed chunk or budget overrun

@@ -168,7 +168,9 @@ struct ServiceStats {
   uint64_t compose_probes = 0;   ///< answered by cross-shard composition
                                  ///< (degraded index-free probes included)
   uint64_t compose_skeleton_hops = 0;  ///< boundary product states popped
-  uint64_t compose_table_builds = 0;   ///< transition rows built lazily
+  uint64_t compose_table_builds = 0;   ///< row-build traversals (one DFS
+                                       ///< per missing row fetched; it
+                                       ///< publishes every row it finishes)
   uint64_t compose_invalidations = 0;  ///< stale shard plans refreshed after
                                        ///< mutations
   uint64_t compose_expanded = 0;       ///< product states expanded on the fly
@@ -427,6 +429,7 @@ class ShardedRlcService {
     obs::Counter& compose_probes;        ///< serve.compose.probes
     obs::Counter& compose_skeleton_hops; ///< serve.compose.skeleton_hops
     obs::Counter& compose_table_builds;  ///< serve.compose.table_builds
+    obs::Counter& compose_row_states;    ///< serve.compose.row_states
     obs::Counter& compose_invalidations; ///< serve.compose.invalidations
     obs::Counter& compose_expanded;      ///< serve.compose.expanded
     obs::Counter& batches;

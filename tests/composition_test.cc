@@ -17,7 +17,10 @@
 // every skeleton hop through on-the-fly expansion.
 // A second group round-trips the composition warm cache through
 // SerializeCache / WriteCompositionCache / ReadCompositionCache /
-// RestoreCache, including corruption and shape-mismatch rejection.
+// RestoreCache, including corruption and shape-mismatch rejection. Later
+// groups pin the skeleton walk, the row-build DFS (rows bit for bit
+// against a brute-force product BFS, shared row objects, cross-build
+// reuse) and concurrent builds on one cold plan.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +29,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rlc/core/index_io.h"
@@ -267,6 +272,39 @@ TEST(CompositionCacheIoTest, RoundTripRestoresWarmTables) {
   CompositionEngine cold(parts.partition, parts.shards);
   ASSERT_TRUE(cold.RestoreCache(read));
   EXPECT_EQ(cold.SerializeCache(), payload);
+
+  // Boundary states of one product SCC share one row object; the restore
+  // keeps exactly that sharing: two slots share a restored row iff they
+  // shared the warm one.
+  uint32_t shared_slots = 0;
+  for (const LabelSeq& seq : seqs) {
+    const CompositionEngine::Plan& wp = warm.PreparePlan(seq);
+    const CompositionEngine::Plan& cp = cold.PreparePlan(seq);
+    for (uint32_t sh = 0; sh < parts.partition.num_shards(); ++sh) {
+      const auto& wsp = *wp.shards[sh];
+      const auto& csp = *cp.shards[sh];
+      if (!wsp.tables) continue;
+      std::map<const CompositionEngine::BoundaryRow*,
+               const CompositionEngine::BoundaryRow*>
+          warm_to_cold;
+      std::map<const CompositionEngine::BoundaryRow*, uint32_t> cold_uses;
+      for (uint32_t idx = 0; idx < wsp.num_boundary * wp.j; ++idx) {
+        const auto* w = wsp.Row(idx);
+        const auto* c = csp.Row(idx);
+        ASSERT_EQ(w == nullptr, c == nullptr) << "slot " << idx;
+        if (w == nullptr) continue;
+        EXPECT_EQ(w->bits, c->bits);
+        const auto [it, fresh] = warm_to_cold.emplace(w, c);
+        EXPECT_EQ(it->second, c) << "slot " << idx << " lost its sharing";
+        if (!fresh) ++shared_slots;
+        ++cold_uses[c];
+      }
+      EXPECT_EQ(cold_uses.size(), warm_to_cold.size())
+          << "restore merged distinct rows";
+    }
+  }
+  EXPECT_GT(shared_slots, 0u) << "no warm row was shared; the round trip "
+                                 "pins nothing about sharing";
   CompositionEngine::Scratch cold_scratch;
   size_t i = 0;
   for (const LabelSeq& seq : seqs) {
@@ -420,6 +458,335 @@ TEST(CoveredSetTest, CoveredEntrySkipsItsRow) {
     rows_built += r.table_rows_built;
   }
   EXPECT_EQ(rows_built, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Row builds: one Tarjan DFS per missing row publishes the row of every
+// boundary state it finishes. Each case hand-builds shard 1 of a kRange
+// two-shard graph; shard 0 only feeds it, through one gadget chain per
+// boundary product state (b, p) — a probe from the chain's source pops
+// exactly the entry (b, p), and shard 1 has no cross edge out, so a probe
+// fetches exactly one row. Every published row must equal, bit for bit,
+// a brute-force product BFS over the current shard-1 edges, before and
+// after a mutation of that shard.
+
+class RowBuildHarness {
+ public:
+  static constexpr VertexId kHalf = 24;  ///< shard 0 = [0, 24), shard 1 after
+
+  /// `edges` and `boundary` are shard-1 local ids.
+  RowBuildHarness(LabelSeq seq, std::vector<Edge> edges,
+                  std::vector<VertexId> boundary)
+      : seq_(seq), j_(seq.size()), edges_(std::move(edges)) {
+    std::vector<Edge> all;
+    for (const Edge& e : edges_) {
+      all.push_back({kHalf + e.src, kHalf + e.dst, e.label});
+    }
+    VertexId next = 0;
+    for (const VertexId b : boundary) {
+      for (uint32_t p = 0; p < j_; ++p) {
+        // A chain of m >= 1 edges spelling seq from (src, 0) whose last,
+        // cross edge lands at (b, m mod j) = (b, p).
+        const uint32_t m = p == 0 ? j_ : p;
+        sources_[{b, p}] = next;
+        for (uint32_t i = 0; i + 1 < m; ++i) {
+          all.push_back({next + i, next + i + 1, seq_[i % j_]});
+        }
+        all.push_back({next + m - 1, kHalf + b, seq_[(m - 1) % j_]});
+        next += m;
+      }
+    }
+    EXPECT_LE(next, kHalf);
+    parts_ = MakeParts(DiGraph(2 * kHalf, all, 2), 2, PartitionPolicy::kRange);
+    EXPECT_EQ(parts_.partition.shard(1).boundary, boundary);
+    engine_ = std::make_unique<CompositionEngine>(parts_.partition,
+                                                  parts_.shards);
+  }
+
+  /// Probes the entry (b, p) of shard 1: at most one row build.
+  ComposeResult Probe(VertexId b, uint32_t p) {
+    const VertexId src = sources_.at({b, p});
+    const ComposeResult r = engine_->ComposedQuery(
+        src, src, engine_->PreparePlan(seq_), scratch_);
+    EXPECT_FALSE(r.reachable);
+    EXPECT_EQ(r.skeleton_hops, 1u);
+    EXPECT_LE(r.table_rows_built, 1u);
+    EXPECT_GE(r.row_states, r.table_rows_built);
+    return r;
+  }
+
+  const CompositionEngine::ShardPlan& plan() {
+    return *engine_->PreparePlan(seq_).shards[1];
+  }
+  const CompositionEngine::BoundaryRow* Row(VertexId b, uint32_t p) {
+    return plan().Row(Ord(b) * j_ + p);
+  }
+
+  /// Brute-force product BFS from (b, p) over the current shard-1 edges:
+  /// the boundary bits it reaches (start included) and its state count.
+  std::pair<std::vector<uint64_t>, uint32_t> Reach(VertexId b, uint32_t p) {
+    const std::vector<VertexId>& boundary = parts_.partition.shard(1).boundary;
+    std::vector<uint64_t> bits((boundary.size() * j_ + 63) / 64, 0);
+    std::vector<std::pair<VertexId, uint32_t>> queue{{b, p}};
+    std::vector<uint8_t> seen(static_cast<size_t>(kHalf) * j_, 0);
+    seen[b * j_ + p] = 1;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const auto [v, q] = queue[head];
+      const auto it = std::find(boundary.begin(), boundary.end(), v);
+      if (it != boundary.end()) {
+        const size_t bit = static_cast<size_t>(it - boundary.begin()) * j_ + q;
+        bits[bit / 64] |= uint64_t{1} << (bit % 64);
+      }
+      for (const Edge& e : edges_) {
+        const uint32_t nq = (q + 1) % j_;
+        if (e.src != v || e.label != seq_[q] || seen[e.dst * j_ + nq]) continue;
+        seen[e.dst * j_ + nq] = 1;
+        queue.emplace_back(e.dst, nq);
+      }
+    }
+    return {bits, static_cast<uint32_t>(queue.size())};
+  }
+
+  /// Every published row equals its brute-force row; returns how many
+  /// slots are published.
+  uint32_t CheckPublishedRows(const char* stage) {
+    const std::vector<VertexId>& boundary = parts_.partition.shard(1).boundary;
+    uint32_t published = 0;
+    for (const VertexId b : boundary) {
+      for (uint32_t p = 0; p < j_; ++p) {
+        const CompositionEngine::BoundaryRow* row = Row(b, p);
+        if (row == nullptr) continue;
+        ++published;
+        EXPECT_EQ(row->bits, Reach(b, p).first)
+            << stage << " row (" << b << ", " << p << ")";
+      }
+    }
+    return published;
+  }
+
+  /// Probes (b, p) and checks its build against the brute force: the DFS
+  /// visits at most the start's BFS reach and publishes the start's row.
+  ComposeResult ProbeAndCheck(VertexId b, uint32_t p, const char* stage) {
+    const ComposeResult r = Probe(b, p);
+    EXPECT_LE(r.row_states, Reach(b, p).second)
+        << stage << " start (" << b << ", " << p << ")";
+    EXPECT_NE(Row(b, p), nullptr);
+    CheckPublishedRows(stage);
+    return r;
+  }
+
+  /// Mutates shard 1 (local ids) and refreshes its stale plan.
+  void Insert(VertexId u, Label l, VertexId v) {
+    ASSERT_TRUE(parts_.shards[1]->InsertEdge(u, l, v));
+    edges_.push_back({u, v, l});
+    engine_->OnIntraMutation(1);
+  }
+  void Delete(VertexId u, Label l, VertexId v) {
+    ASSERT_TRUE(parts_.shards[1]->DeleteEdge(u, l, v));
+    edges_.erase(std::find(edges_.begin(), edges_.end(), Edge{u, v, l}));
+    engine_->OnIntraMutation(1);
+  }
+
+  size_t num_row_objects() { return plan().owned.size(); }
+
+ private:
+  uint32_t Ord(VertexId b) {
+    const std::vector<VertexId>& boundary = parts_.partition.shard(1).boundary;
+    return static_cast<uint32_t>(
+        std::find(boundary.begin(), boundary.end(), b) - boundary.begin());
+  }
+
+  LabelSeq seq_;
+  uint32_t j_;
+  std::vector<Edge> edges_;
+  std::map<std::pair<VertexId, uint32_t>, VertexId> sources_;
+  EngineParts parts_;
+  std::unique_ptr<CompositionEngine> engine_;
+  CompositionEngine::Scratch scratch_;
+};
+
+constexpr Label kA = 0, kB = 1;
+
+TEST(RowBuildTest, SccBoundaryStatesShareOneRow) {
+  // 0 -> 1 -> 2 -> 0 is one component holding boundary states 0 and 1;
+  // it reaches 3 -> 4 downstream.
+  RowBuildHarness h(LabelSeq{kA},
+                    {{0, 1, kA}, {1, 2, kA}, {2, 0, kA}, {2, 3, kA},
+                     {3, 4, kA}},
+                    {0, 1, 3, 4});
+  const ComposeResult first = h.ProbeAndCheck(0, 0, "base");
+  EXPECT_EQ(first.table_rows_built, 1u);
+  EXPECT_EQ(first.row_states, 5u);
+  EXPECT_EQ(h.CheckPublishedRows("base"), 4u);  // one DFS built every row
+  EXPECT_EQ(h.Row(0, 0), h.Row(1, 0));
+  EXPECT_NE(h.Row(0, 0), h.Row(3, 0));
+  EXPECT_EQ(h.num_row_objects(), 3u);
+  for (const VertexId b : {1u, 3u, 4u}) {
+    EXPECT_EQ(h.Probe(b, 0).table_rows_built, 0u) << "b=" << b;
+  }
+
+  // Breaking the cycle splits the component: 1 no longer reaches 0.
+  h.Delete(2, kA, 0);
+  EXPECT_EQ(h.ProbeAndCheck(1, 0, "after delete").table_rows_built, 1u);
+  EXPECT_EQ(h.ProbeAndCheck(0, 0, "after delete").row_states, 1u);
+  EXPECT_NE(h.Row(0, 0), h.Row(1, 0));
+  // An overlay edge closes 4 -> 0: now 0, 1, 3 and 4 share one row.
+  h.Insert(4, kA, 0);
+  EXPECT_EQ(h.ProbeAndCheck(3, 0, "after insert").table_rows_built, 1u);
+  EXPECT_EQ(h.Row(0, 0), h.Row(4, 0));
+  EXPECT_EQ(h.Row(1, 0), h.Row(3, 0));
+  EXPECT_EQ(h.Row(0, 0), h.Row(3, 0));
+}
+
+TEST(RowBuildTest, AlignedCycleUnderTwoLabels) {
+  // Under (a b): (0, 0) -a-> (1, 1) -b-> (0, 0) is a cycle, but (0, 1) has
+  // no b edge and (1, 0) leaves through 1 -a-> 2 -b-> 3 -a-> (0, 1).
+  RowBuildHarness h(LabelSeq{kA, kB},
+                    {{0, 1, kA}, {1, 0, kB}, {1, 2, kA}, {2, 3, kB},
+                     {3, 0, kA}},
+                    {0, 1, 2, 3});
+  for (const VertexId b : {0u, 1u, 2u, 3u}) {
+    for (const uint32_t p : {0u, 1u}) h.ProbeAndCheck(b, p, "base");
+  }
+  EXPECT_EQ(h.CheckPublishedRows("base"), 8u);
+  EXPECT_EQ(h.Row(0, 0), h.Row(1, 1));
+  EXPECT_NE(h.Row(0, 1), h.Row(1, 0));
+  EXPECT_NE(h.Row(0, 0), h.Row(1, 0));
+
+  // 3 -a-> 2 closes (2, 1) -b-> (3, 0) -a-> (2, 1) into a cycle.
+  h.Insert(3, kA, 2);
+  for (const VertexId b : {3u, 0u, 1u, 2u}) {
+    for (const uint32_t p : {1u, 0u}) h.ProbeAndCheck(b, p, "after insert");
+  }
+  EXPECT_EQ(h.Row(2, 1), h.Row(3, 0));
+  h.Delete(1, kB, 0);
+  for (const VertexId b : {0u, 1u, 2u, 3u}) {
+    for (const uint32_t p : {0u, 1u}) h.ProbeAndCheck(b, p, "after delete");
+  }
+  EXPECT_NE(h.Row(0, 0), h.Row(1, 1));
+}
+
+TEST(RowBuildTest, LaterBuildReusesFinishedComponent) {
+  // 0 -> 1 -> [2 -> 3 -> 4 -> 5 -> 2] -> 6: building 2's row first
+  // finishes the component; building 0's row afterwards visits 0 and 1
+  // only and ORs in 2's row.
+  RowBuildHarness h(LabelSeq{kA},
+                    {{0, 1, kA}, {1, 2, kA}, {2, 3, kA}, {3, 4, kA},
+                     {4, 5, kA}, {5, 2, kA}, {5, 6, kA}},
+                    {0, 2, 6});
+  EXPECT_EQ(h.ProbeAndCheck(2, 0, "base").row_states, 5u);
+  const ComposeResult upstream = h.ProbeAndCheck(0, 0, "base");
+  EXPECT_EQ(upstream.table_rows_built, 1u);
+  EXPECT_EQ(upstream.row_states, 2u);
+  EXPECT_LT(upstream.row_states, h.Reach(0, 0).second);
+  EXPECT_EQ(h.num_row_objects(), 3u);
+
+  // 6 -> 0 folds everything into one component.
+  h.Insert(6, kA, 0);
+  EXPECT_EQ(h.ProbeAndCheck(6, 0, "after insert").row_states, 7u);
+  EXPECT_EQ(h.Row(0, 0), h.Row(2, 0));
+  EXPECT_EQ(h.Row(0, 0), h.Row(6, 0));
+  EXPECT_EQ(h.num_row_objects(), 1u);
+  // Without 1 -> 2, 6 reaches 0 and 1 only; 2's build then stops at the
+  // finished 6.
+  h.Delete(1, kA, 2);
+  EXPECT_EQ(h.ProbeAndCheck(6, 0, "after delete").row_states, 3u);
+  EXPECT_EQ(h.ProbeAndCheck(2, 0, "after delete").row_states, 4u);
+}
+
+TEST(RowBuildTest, InteriorComponentReusesCoveringRow) {
+  // Interior 1 reaches rows {3} and {2, 3}; their union is 2's row, so 1
+  // points at it instead of allocating a third object. 0 adds its own bit.
+  RowBuildHarness h(LabelSeq{kA},
+                    {{0, 1, kA}, {1, 2, kA}, {1, 3, kA}, {2, 3, kA}},
+                    {0, 2, 3});
+  EXPECT_EQ(h.ProbeAndCheck(0, 0, "base").row_states, 4u);
+  EXPECT_EQ(h.num_row_objects(), 3u);
+  EXPECT_EQ(h.CheckPublishedRows("base"), 3u);
+
+  // Without 2 -> 3 the union {2, 3} equals neither successor row.
+  h.Delete(2, kA, 3);
+  h.ProbeAndCheck(0, 0, "after delete");
+  EXPECT_EQ(h.num_row_objects(), 4u);
+  // With 3 -> 2 instead, 1 reaches {2} and {2, 3}: reuse again.
+  h.Insert(3, kA, 2);
+  h.ProbeAndCheck(0, 0, "after insert");
+  EXPECT_EQ(h.num_row_objects(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent builds on one cold plan: probes fanned across threads, each
+// with its own Scratch, race to allocate the plan's slot arrays and build
+// overlapping rows. Answers must not depend on who built what.
+
+TEST(ConcurrentRowBuildTest, ColdPlanAnswersMatchSingleThread) {
+  const DiGraph g = CommunityGraph(160, 720, 3, 0xC5);
+  const EngineParts parts = MakeParts(g, 4, PartitionPolicy::kRange);
+  const RlcIndex oracle = BuildSealed(g, 2);
+  Rng rng(0xC5);
+  std::vector<LabelSeq> seqs;
+  for (uint32_t i = 0; i < 3; ++i) {
+    seqs.push_back(RandomPrimitiveSeq(1 + i % 2, g.num_labels(), rng));
+  }
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (int i = 0; i < 160; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.Below(g.num_vertices())),
+                       static_cast<VertexId>(rng.Below(g.num_vertices())));
+  }
+  // need_intra: every answer is the whole-graph answer.
+  const auto run = [&](const CompositionEngine& engine,
+                       const std::vector<const CompositionEngine::Plan*>& plans,
+                       size_t offset, std::vector<uint8_t>& out,
+                       uint64_t& builds) {
+    CompositionEngine::Scratch scratch;
+    const size_t n = seqs.size() * pairs.size();
+    out.assign(n, 0);
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = (k + offset) % n;
+      const auto& [s, t] = pairs[i % pairs.size()];
+      const ComposeResult r = engine.ComposedQuery(
+          s, t, *plans[i / pairs.size()], scratch, Deadline{}, true);
+      out[i] = r.reachable ? 1 : 0;
+      builds += r.table_rows_built;
+    }
+  };
+  const auto prepare = [&](CompositionEngine& engine) {
+    std::vector<const CompositionEngine::Plan*> plans;
+    for (const LabelSeq& seq : seqs) plans.push_back(&engine.PreparePlan(seq));
+    return plans;
+  };
+
+  CompositionEngine single(parts.partition, parts.shards);
+  std::vector<uint8_t> want;
+  uint64_t single_builds = 0;
+  run(single, prepare(single), 0, want, single_builds);
+  for (size_t i = 0; i < want.size(); ++i) {
+    const auto& [s, t] = pairs[i % pairs.size()];
+    ASSERT_EQ(want[i] != 0, oracle.Query(s, t, seqs[i / pairs.size()]))
+        << "s=" << s << " t=" << t;
+  }
+  ASSERT_GT(single_builds, 0u) << "no table shard: the race pins nothing";
+
+  CompositionEngine engine(parts.partition, parts.shards);
+  const auto plans = prepare(engine);
+  for (const auto* plan : plans) {
+    for (const auto& sp : plan->shards) {
+      ASSERT_EQ(sp->rows.load(), nullptr) << "plan is not cold";
+    }
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<uint8_t>> got(kThreads);
+  std::vector<uint64_t> builds(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      run(engine, plans, static_cast<size_t>(th) * 7, got[th], builds[th]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int th = 0; th < kThreads; ++th) {
+    EXPECT_EQ(got[th], want) << "thread " << th;
+  }
 }
 
 // ---------------------------------------------------------------------------
