@@ -367,7 +367,9 @@ void DynamicRlcIndex::AppendDelta(bool is_out, VertexId v, uint32_t hub_aid,
   } else {
     current_->AddDeltaIn(v, hub_aid, mr);
   }
-  delta_log_.push_back({DeltaRecord::Kind::kAppend, is_out, v, hub_aid, seq});
+  if (reseal_thread_.joinable()) {
+    delta_log_.push_back({DeltaRecord::Kind::kAppend, is_out, v, hub_aid, seq});
+  }
   ++stats_.delta_entries_added;
 }
 
@@ -378,7 +380,9 @@ void DynamicRlcIndex::SuppressEntry(bool is_out, VertexId v, uint32_t hub_aid,
   } else {
     current_->SuppressIn(v, hub_aid, mr);
   }
-  delta_log_.push_back({DeltaRecord::Kind::kSuppress, is_out, v, hub_aid, seq});
+  if (reseal_thread_.joinable()) {
+    delta_log_.push_back({DeltaRecord::Kind::kSuppress, is_out, v, hub_aid, seq});
+  }
   ++stats_.entries_suppressed;
 }
 
@@ -741,7 +745,6 @@ void DynamicRlcIndex::ResealInline() {
                          "dyn.reseal.merge");
     auto fresh = std::make_shared<RlcIndex>(*current_);
     fresh->MergeDeltas();
-    delta_log_.clear();
     current_ = std::move(fresh);
   }
   stats_.reseal_seconds += timer.ElapsedSeconds();
@@ -757,7 +760,6 @@ void DynamicRlcIndex::StartReseal() {
   // Snapshot on the owner thread: the worker owns the copy outright, so the
   // owner may keep appending deltas (and serving queries) while it merges.
   reseal_snapshot_ = std::make_unique<RlcIndex>(*current_);
-  reseal_log_mark_ = delta_log_.size();
   reseal_ready_.store(false, std::memory_order_relaxed);
   reseal_thread_ = std::thread([this] {
     Timer timer;
@@ -781,16 +783,15 @@ void DynamicRlcIndex::TryCompleteReseal(bool wait) {
   reseal_thread_.join();
   stats_.reseal_seconds += reseal_merge_seconds_;
   auto fresh = std::shared_ptr<RlcIndex>(std::move(reseal_snapshot_));
-  // Replay the overlay mutations recorded after the trigger: the merged CSR
-  // holds everything up to the mark, so the replayed suffix restores the
-  // exact visible entry set — answers are unchanged across the swap.
+  // Replay the overlay mutations recorded since the trigger: the merged CSR
+  // holds everything before it, so the replayed log restores the exact
+  // visible entry set — answers are unchanged across the swap.
   // Post-trigger MRs re-intern in log order, which reproduces the live
   // table's ids (interning is append-only and deterministic). A replayed
   // suppression finds its entry wherever the merge left it: folded into
   // the fresh CSR (tombstoned there) or re-appended by an earlier replayed
   // record (erased from the delta list, matching the live index).
-  for (size_t i = reseal_log_mark_; i < delta_log_.size(); ++i) {
-    const DeltaRecord& r = delta_log_[i];
+  for (const DeltaRecord& r : delta_log_) {
     if (r.kind == DeltaRecord::Kind::kAppend) {
       const MrId mr = fresh->mr_table().Intern(r.seq);
       if (r.is_out) {
@@ -810,10 +811,8 @@ void DynamicRlcIndex::TryCompleteReseal(bool wait) {
     }
     ++stats_.deltas_replayed;
   }
-  DynMetrics::Get().deltas_replayed.Add(delta_log_.size() - reseal_log_mark_);
-  delta_log_.erase(delta_log_.begin(),
-                   delta_log_.begin() + static_cast<ptrdiff_t>(reseal_log_mark_));
-  reseal_log_mark_ = 0;
+  DynMetrics::Get().deltas_replayed.Add(delta_log_.size());
+  delta_log_ = {};  // nothing reads the log until the next reseal starts
   current_ = std::move(fresh);
 }
 

@@ -288,11 +288,13 @@ class DynamicRlcIndex {
   std::vector<VertexId> AlignedClosure(VertexId start, const LabelSeq& kernel,
                                        bool backward);
 
-  /// Appends one delta entry to the live index and the replay log.
+  /// Appends one delta entry to the live index (and, while a background
+  /// reseal runs, to its replay log).
   void AppendDelta(bool is_out, VertexId v, uint32_t hub_aid, MrId mr,
                    const LabelSeq& seq);
 
-  /// Suppresses one stale entry on the live index and logs it for replay.
+  /// Suppresses one stale entry on the live index (logged for replay while
+  /// a background reseal runs).
   void SuppressEntry(bool is_out, VertexId v, uint32_t hub_aid, MrId mr,
                      const LabelSeq& seq);
 
@@ -349,14 +351,14 @@ class DynamicRlcIndex {
   std::vector<std::vector<LabeledNeighbor>> removed_in_;
   std::vector<EdgeUpdate> inserted_;
   std::vector<EdgeUpdate> removed_;
-  // Delta log since the last completed reseal (replay source for swaps).
+  // Overlay mutations since a background reseal started (replay source for
+  // its swap); empty, with no capacity, while no reseal is in flight.
   std::vector<DeltaRecord> delta_log_;
   // Background reseal state (owner thread starts/joins; the worker only
   // touches reseal_snapshot_ and the release-ordered ready flag).
   std::thread reseal_thread_;
   std::unique_ptr<RlcIndex> reseal_snapshot_;
   std::atomic<bool> reseal_ready_{false};
-  size_t reseal_log_mark_ = 0;
   double reseal_merge_seconds_ = 0.0;
   // Aligned-search scratch (owner thread only).
   std::vector<uint64_t> visit_stamp_;

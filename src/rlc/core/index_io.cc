@@ -23,9 +23,10 @@ namespace {
 constexpr uint64_t kIndexMagic = 0x524C43494458ULL;  // "RLCIDX"
 
 /// Order-sensitive FNV-style fold over the signature words. The signature
-/// block is the one v3 section whose corruption AdoptSealed cannot detect
+/// block is the one section whose corruption AdoptSealed cannot detect
 /// (entries are range-checked, offsets monotonicity-checked) yet would
 /// silently flip query answers; the checksum turns that into a load error.
+/// The overlay sections reuse the fold over their values.
 uint64_t SignatureChecksum(uint64_t h, uint64_t word) {
   return (h ^ word) * 0x100000001B3ULL;
 }
@@ -89,16 +90,8 @@ class Reader {
   uint64_t offset_ = 0;
 };
 
-void PutEntriesV1(std::ostream& out, std::span<const IndexEntry> entries) {
-  Put<uint32_t>(out, static_cast<uint32_t>(entries.size()));
-  for (const IndexEntry& e : entries) {
-    Put<uint32_t>(out, e.hub_aid);
-    Put<uint32_t>(out, e.mr);
-  }
-}
-
-/// One side of the v2 body: CSR offsets, then the entry buffer as raw bytes.
-void PutSideV2(std::ostream& out, const RlcIndex& index, bool out_side) {
+/// One CSR side: offsets, then the entry buffer as raw bytes.
+void PutCsrSide(std::ostream& out, const RlcIndex& index, bool out_side) {
   const VertexId n = index.num_vertices();
   uint64_t offset = 0;
   for (VertexId v = 0; v < n; ++v) {
@@ -113,7 +106,7 @@ void PutSideV2(std::ostream& out, const RlcIndex& index, bool out_side) {
   }
 }
 
-struct SideV2 {
+struct CsrSide {
   std::vector<uint64_t> offsets;
   std::vector<IndexEntry> entries;
 };
@@ -121,9 +114,9 @@ struct SideV2 {
 // Monotonicity and per-list sortedness are validated once, by the throwing
 // AdoptSealed call in ReadIndex; here we only check what AdoptSealed cannot
 // see (stream truncation, entry id ranges) plus an allocation bound.
-SideV2 GetSideV2(Reader& r, uint64_t n, uint32_t num_mrs,
+CsrSide GetCsrSide(Reader& r, uint64_t n, uint32_t num_mrs,
                  uint64_t num_vertices) {
-  SideV2 side;
+  CsrSide side;
   side.offsets.resize(n + 1);
   r.ReadRaw(side.offsets.data(), side.offsets.size() * sizeof(uint64_t));
   const uint64_t total = side.offsets.back();
@@ -146,19 +139,9 @@ SideV2 GetSideV2(Reader& r, uint64_t n, uint32_t num_mrs,
 
 }  // namespace
 
-void WriteIndex(const RlcIndex& index, std::ostream& out, uint32_t version) {
-  RLC_REQUIRE(version >= 1 && version <= 5,
-              "WriteIndex: unsupported format version " << version);
-  RLC_REQUIRE(version >= 4 || index.delta_entries() == 0,
-              "WriteIndex: version " << version << " cannot carry the "
-                  << index.delta_entries()
-                  << " pending delta entries (MergeDeltas() first or write v4+)");
-  RLC_REQUIRE(version >= 5 || index.tombstone_entries() == 0,
-              "WriteIndex: version " << version << " cannot carry the "
-                  << index.tombstone_entries()
-                  << " pending tombstones (MergeDeltas() first or write v5)");
+void WriteIndex(const RlcIndex& index, std::ostream& out) {
   Put(out, kIndexMagic);
-  Put<uint32_t>(out, version);
+  Put<uint32_t>(out, kIndexFormatVersion);
   Put<uint32_t>(out, index.k());
   Put<uint64_t>(out, index.num_vertices());
 
@@ -174,73 +157,61 @@ void WriteIndex(const RlcIndex& index, std::ostream& out, uint32_t version) {
     for (uint32_t i = 0; i < seq.size(); ++i) Put<uint32_t>(out, seq[i]);
   }
 
-  if (version == 1) {
-    for (VertexId v = 0; v < index.num_vertices(); ++v) {
-      PutEntriesV1(out, index.Lout(v));
-      PutEntriesV1(out, index.Lin(v));
-    }
-  } else {
-    PutSideV2(out, index, /*out_side=*/true);
-    PutSideV2(out, index, /*out_side=*/false);
-    if (version >= 3) {
-      // OutSignature/InSignature fall back to an on-the-fly computation on
-      // unsealed indexes, keeping the bytes layout-independent.
-      uint64_t checksum = kSignatureChecksumSeed;
-      for (VertexId v = 0; v < index.num_vertices(); ++v) {
-        const uint64_t sig = index.OutSignature(v);
-        checksum = SignatureChecksum(checksum, sig);
-        Put<uint64_t>(out, sig);
-      }
-      for (VertexId v = 0; v < index.num_vertices(); ++v) {
-        const uint64_t sig = index.InSignature(v);
-        checksum = SignatureChecksum(checksum, sig);
-        Put<uint64_t>(out, sig);
-      }
-      Put<uint64_t>(out, checksum);
-    }
-    if (version >= 4) {
-      // Sparse overlay sections: per side the vertices with pending entries
-      // in ascending order. Deterministic, so resaves stay byte-identical.
-      // The v4 delta and v5 tombstone sections share this encoding, each
-      // with its own trailing checksum.
-      auto put_overlay = [&](auto list_of) {
-        uint64_t checksum = kSignatureChecksumSeed;
-        auto put_side = [&](bool out_side) {
-          uint64_t count = 0;
-          for (VertexId v = 0; v < index.num_vertices(); ++v) {
-            count += list_of(v, out_side).empty() ? 0 : 1;
-          }
-          Put<uint64_t>(out, count);
-          checksum = SignatureChecksum(checksum, count);
-          for (VertexId v = 0; v < index.num_vertices(); ++v) {
-            const auto entries = list_of(v, out_side);
-            if (entries.empty()) continue;
-            Put<uint32_t>(out, v);
-            Put<uint32_t>(out, static_cast<uint32_t>(entries.size()));
-            checksum = SignatureChecksum(checksum, v);
-            checksum = SignatureChecksum(checksum, entries.size());
-            for (const IndexEntry& e : entries) {
-              Put<uint32_t>(out, e.hub_aid);
-              Put<uint32_t>(out, e.mr);
-              checksum = SignatureChecksum(checksum, e.hub_aid);
-              checksum = SignatureChecksum(checksum, e.mr);
-            }
-          }
-        };
-        put_side(/*out_side=*/true);
-        put_side(/*out_side=*/false);
-        Put<uint64_t>(out, checksum);
-      };
-      put_overlay([&](VertexId v, bool out_side) {
-        return out_side ? index.DeltaLout(v) : index.DeltaLin(v);
-      });
-      if (version >= 5) {
-        put_overlay([&](VertexId v, bool out_side) {
-          return out_side ? index.TombLout(v) : index.TombLin(v);
-        });
-      }
-    }
+  PutCsrSide(out, index, /*out_side=*/true);
+  PutCsrSide(out, index, /*out_side=*/false);
+  // OutSignature/InSignature fall back to an on-the-fly computation on
+  // unsealed indexes, keeping the bytes layout-independent.
+  uint64_t sig_checksum = kSignatureChecksumSeed;
+  for (VertexId v = 0; v < index.num_vertices(); ++v) {
+    const uint64_t sig = index.OutSignature(v);
+    sig_checksum = SignatureChecksum(sig_checksum, sig);
+    Put<uint64_t>(out, sig);
   }
+  for (VertexId v = 0; v < index.num_vertices(); ++v) {
+    const uint64_t sig = index.InSignature(v);
+    sig_checksum = SignatureChecksum(sig_checksum, sig);
+    Put<uint64_t>(out, sig);
+  }
+  Put<uint64_t>(out, sig_checksum);
+
+  // Sparse overlay sections: per side the vertices with pending entries in
+  // ascending order. Deterministic, so resaves stay byte-identical. The
+  // delta and tombstone sections share this encoding, each with its own
+  // trailing checksum.
+  auto put_overlay = [&](auto list_of) {
+    uint64_t checksum = kSignatureChecksumSeed;
+    auto put_side = [&](bool out_side) {
+      uint64_t count = 0;
+      for (VertexId v = 0; v < index.num_vertices(); ++v) {
+        count += list_of(v, out_side).empty() ? 0 : 1;
+      }
+      Put<uint64_t>(out, count);
+      checksum = SignatureChecksum(checksum, count);
+      for (VertexId v = 0; v < index.num_vertices(); ++v) {
+        const auto entries = list_of(v, out_side);
+        if (entries.empty()) continue;
+        Put<uint32_t>(out, v);
+        Put<uint32_t>(out, static_cast<uint32_t>(entries.size()));
+        checksum = SignatureChecksum(checksum, v);
+        checksum = SignatureChecksum(checksum, entries.size());
+        for (const IndexEntry& e : entries) {
+          Put<uint32_t>(out, e.hub_aid);
+          Put<uint32_t>(out, e.mr);
+          checksum = SignatureChecksum(checksum, e.hub_aid);
+          checksum = SignatureChecksum(checksum, e.mr);
+        }
+      }
+    };
+    put_side(/*out_side=*/true);
+    put_side(/*out_side=*/false);
+    Put<uint64_t>(out, checksum);
+  };
+  put_overlay([&](VertexId v, bool out_side) {
+    return out_side ? index.DeltaLout(v) : index.DeltaLin(v);
+  });
+  put_overlay([&](VertexId v, bool out_side) {
+    return out_side ? index.TombLout(v) : index.TombLin(v);
+  });
 }
 
 RlcIndex ReadIndex(std::istream& in) { return ReadIndex(in, "<stream>"); }
@@ -252,8 +223,9 @@ RlcIndex ReadIndex(std::istream& in, const std::string& source) {
     r.Fail("bad magic (not an rlc index file)");
   }
   const uint32_t version = r.Get<uint32_t>();
-  if (version < 1 || version > 5) {
-    r.Fail("unsupported version " + std::to_string(version));
+  if (version != kIndexFormatVersion) {
+    r.Fail("unsupported version " + std::to_string(version) + " (expected " +
+           std::to_string(kIndexFormatVersion) + ")");
   }
   const uint32_t k = r.Get<uint32_t>();
   if (k < 1 || k > kMaxK) {
@@ -304,139 +276,92 @@ RlcIndex ReadIndex(std::istream& in, const std::string& source) {
     if (id != i) r.Fail("duplicate MR in table");
   }
 
-  if (version == 1) {
-    r.Section("v1 entry lists");
-    auto get_list = [&](VertexId v, bool out_side) {
-      const uint32_t count = r.Get<uint32_t>();
-      if (count > r.Remaining() / (2 * sizeof(uint32_t))) {
-        r.Fail("entry count " + std::to_string(count) +
-               " exceeds the bytes left in the file");
+  r.Section("out csr");
+  CsrSide out_side = GetCsrSide(r, n, num_mrs, n);
+  r.Section("in csr");
+  CsrSide in_side = GetCsrSide(r, n, num_mrs, n);
+  r.Section("signatures");
+  std::vector<uint64_t> out_sigs(n);
+  std::vector<uint64_t> in_sigs(n);
+  uint64_t sig_checksum = kSignatureChecksumSeed;
+  for (auto* sigs : {&out_sigs, &in_sigs}) {
+    if (n > 0) r.ReadRaw(sigs->data(), sigs->size() * sizeof(uint64_t));
+    for (const uint64_t sig : *sigs) {
+      sig_checksum = SignatureChecksum(sig_checksum, sig);
+    }
+  }
+  if (r.Get<uint64_t>() != sig_checksum) {
+    r.Fail("signature checksum mismatch");
+  }
+  r.Section("csr adopt");
+  try {
+    index.AdoptSealed(std::move(out_side.offsets), std::move(out_side.entries),
+                      std::move(in_side.offsets), std::move(in_side.entries),
+                      std::move(out_sigs), std::move(in_sigs));
+  } catch (const std::invalid_argument& e) {
+    r.Fail(e.what());
+  }
+
+  // Pending overlay sections. Entries are range-checked like CSR entries
+  // and re-applied through the overlay mutators — AddDelta* re-applies the
+  // (idempotent) signature widening, AddTombstone* verifies the referenced
+  // CSR entry exists — and each section's checksum catches in-range
+  // corruption.
+  auto get_overlay = [&](const char* what, auto apply) {
+    r.Section(what);
+    uint64_t checksum = kSignatureChecksumSeed;
+    auto get_side = [&](bool out_side) {
+      const uint64_t count = r.Get<uint64_t>();
+      checksum = SignatureChecksum(checksum, count);
+      if (count > n) {
+        r.Fail("vertex count " + std::to_string(count) + " exceeds " +
+               std::to_string(n));
       }
-      uint32_t prev_aid = 0;
-      for (uint32_t i = 0; i < count; ++i) {
-        const uint32_t aid = r.Get<uint32_t>();
-        const MrId mr = r.Get<uint32_t>();
-        if (mr >= num_mrs || aid == 0 || aid > n) {
-          r.Fail("entry (hub_aid=" + std::to_string(aid) +
-                 ", mr=" + std::to_string(mr) + ") out of range");
+      for (uint64_t i = 0; i < count; ++i) {
+        const uint32_t v = r.Get<uint32_t>();
+        const uint32_t len = r.Get<uint32_t>();
+        checksum = SignatureChecksum(checksum, v);
+        checksum = SignatureChecksum(checksum, len);
+        if (v >= n || len == 0 || len > r.Remaining() / sizeof(IndexEntry)) {
+          r.Fail("corrupt per-vertex list (vertex " + std::to_string(v) +
+                 ", length " + std::to_string(len) + ")");
         }
-        // The merge-join query assumes sorted lists; AddOut/AddIn only
-        // DCHECK this, which release builds compile out.
-        if (aid < prev_aid) r.Fail("entry list not sorted by hub access id");
-        prev_aid = aid;
-        if (out_side) {
-          index.AddOut(v, aid, mr);
-        } else {
-          index.AddIn(v, aid, mr);
+        for (uint32_t j = 0; j < len; ++j) {
+          const uint32_t aid = r.Get<uint32_t>();
+          const MrId mr = r.Get<uint32_t>();
+          checksum = SignatureChecksum(checksum, aid);
+          checksum = SignatureChecksum(checksum, mr);
+          if (mr >= num_mrs || aid == 0 || aid > n) {
+            r.Fail("entry (hub_aid=" + std::to_string(aid) +
+                   ", mr=" + std::to_string(mr) + ") out of range");
+          }
+          apply(out_side, v, aid, mr);
         }
       }
     };
-    for (VertexId v = 0; v < n; ++v) {
-      get_list(v, /*out_side=*/true);
-      get_list(v, /*out_side=*/false);
+    get_side(/*out_side=*/true);
+    get_side(/*out_side=*/false);
+    if (r.Get<uint64_t>() != checksum) r.Fail("section checksum mismatch");
+  };
+  get_overlay("delta", [&](bool out_side, uint32_t v, uint32_t aid, MrId mr) {
+    if (out_side) {
+      index.AddDeltaOut(v, aid, mr);
+    } else {
+      index.AddDeltaIn(v, aid, mr);
     }
-    index.Seal();
-  } else {
-    r.Section("out csr");
-    SideV2 out_side = GetSideV2(r, n, num_mrs, n);
-    r.Section("in csr");
-    SideV2 in_side = GetSideV2(r, n, num_mrs, n);
-    // v3 appends the vertex signatures; adopting them skips the rebuild
-    // pass over both entry buffers. v2 files leave the vectors empty and
-    // AdoptSealed rebuilds.
-    std::vector<uint64_t> out_sigs;
-    std::vector<uint64_t> in_sigs;
-    if (version >= 3) {
-      r.Section("signatures");
-      out_sigs.resize(n);
-      in_sigs.resize(n);
-      uint64_t checksum = kSignatureChecksumSeed;
-      for (auto* sigs : {&out_sigs, &in_sigs}) {
-        if (n > 0) r.ReadRaw(sigs->data(), sigs->size() * sizeof(uint64_t));
-        for (const uint64_t sig : *sigs) {
-          checksum = SignatureChecksum(checksum, sig);
-        }
-      }
-      if (r.Get<uint64_t>() != checksum) {
-        r.Fail("signature checksum mismatch");
-      }
-    }
-    r.Section("csr adopt");
-    try {
-      index.AdoptSealed(std::move(out_side.offsets), std::move(out_side.entries),
-                        std::move(in_side.offsets), std::move(in_side.entries),
-                        std::move(out_sigs), std::move(in_sigs));
-    } catch (const std::invalid_argument& e) {
-      r.Fail(e.what());
-    }
-    if (version >= 4) {
-      // Pending overlay sections (v4 deltas, v5 tombstones). Entries are
-      // range-checked like v2 entries and re-applied through the overlay
-      // mutators — AddDelta* re-applies the (idempotent) signature
-      // widening, AddTombstone* verifies the referenced CSR entry exists —
-      // and each section's checksum catches in-range corruption.
-      auto get_overlay = [&](const char* what, auto apply) {
-        r.Section(what);
-        uint64_t checksum = kSignatureChecksumSeed;
-        auto get_side = [&](bool out_side) {
-          const uint64_t count = r.Get<uint64_t>();
-          checksum = SignatureChecksum(checksum, count);
-          if (count > n) {
-            r.Fail("vertex count " + std::to_string(count) + " exceeds " +
-                   std::to_string(n));
-          }
-          for (uint64_t i = 0; i < count; ++i) {
-            const uint32_t v = r.Get<uint32_t>();
-            const uint32_t len = r.Get<uint32_t>();
-            checksum = SignatureChecksum(checksum, v);
-            checksum = SignatureChecksum(checksum, len);
-            if (v >= n || len == 0 ||
-                len > r.Remaining() / sizeof(IndexEntry)) {
-              r.Fail("corrupt per-vertex list (vertex " + std::to_string(v) +
-                     ", length " + std::to_string(len) + ")");
-            }
-            for (uint32_t j = 0; j < len; ++j) {
-              const uint32_t aid = r.Get<uint32_t>();
-              const MrId mr = r.Get<uint32_t>();
-              checksum = SignatureChecksum(checksum, aid);
-              checksum = SignatureChecksum(checksum, mr);
-              if (mr >= num_mrs || aid == 0 || aid > n) {
-                r.Fail("entry (hub_aid=" + std::to_string(aid) +
-                       ", mr=" + std::to_string(mr) + ") out of range");
-              }
-              apply(out_side, v, aid, mr);
-            }
-          }
-        };
-        get_side(/*out_side=*/true);
-        get_side(/*out_side=*/false);
-        if (r.Get<uint64_t>() != checksum) {
-          r.Fail("section checksum mismatch");
-        }
-      };
-      get_overlay("delta", [&](bool out_side, uint32_t v, uint32_t aid, MrId mr) {
-        if (out_side) {
-          index.AddDeltaOut(v, aid, mr);
-        } else {
-          index.AddDeltaIn(v, aid, mr);
-        }
-      });
-      if (version >= 5) {
-        get_overlay("tombstone",
-                    [&](bool out_side, uint32_t v, uint32_t aid, MrId mr) {
-                      try {
-                        if (out_side) {
-                          index.AddTombstoneOut(v, aid, mr);
-                        } else {
-                          index.AddTombstoneIn(v, aid, mr);
-                        }
-                      } catch (const std::invalid_argument& e) {
-                        r.Fail(e.what());
-                      }
-                    });
-      }
-    }
-  }
+  });
+  get_overlay("tombstone",
+              [&](bool out_side, uint32_t v, uint32_t aid, MrId mr) {
+                try {
+                  if (out_side) {
+                    index.AddTombstoneOut(v, aid, mr);
+                  } else {
+                    index.AddTombstoneIn(v, aid, mr);
+                  }
+                } catch (const std::invalid_argument& e) {
+                  r.Fail(e.what());
+                }
+              });
   return index;
 }
 
@@ -489,76 +414,6 @@ RlcIndex LoadIndex(const std::string& path) {
                              std::strerror(errno));
   }
   return ReadIndex(in, path);
-}
-
-namespace {
-
-constexpr uint64_t kComposeCacheMagic = 0x524C43434D50ULL;  // "RLCCMP"
-constexpr uint32_t kComposeCacheVersion = 2;
-
-uint64_t BytesChecksum(std::span<const uint8_t> bytes) {
-  uint64_t h = kSignatureChecksumSeed;
-  for (const uint8_t b : bytes) h = SignatureChecksum(h, b);
-  return h;
-}
-
-}  // namespace
-
-void WriteCompositionCache(const std::string& path,
-                           std::span<const uint8_t> payload) {
-  std::string bytes;
-  bytes.reserve(payload.size() + 28);
-  const auto put = [&bytes](const auto& v) {
-    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put(kComposeCacheMagic);
-  put(kComposeCacheVersion);
-  put(static_cast<uint64_t>(payload.size()));
-  bytes.append(reinterpret_cast<const char*>(payload.data()), payload.size());
-  put(BytesChecksum(payload));
-  AtomicWriteFile(path, bytes, "compose.save");
-}
-
-std::vector<uint8_t> ReadCompositionCache(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open composition cache: " + path + ": " +
-                             std::strerror(errno));
-  }
-  const auto get = [&in, &path](auto& v) {
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    if (!in) {
-      throw std::runtime_error("composition cache " + path + ": truncated");
-    }
-  };
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  uint64_t size = 0;
-  get(magic);
-  get(version);
-  get(size);
-  if (magic != kComposeCacheMagic || version != kComposeCacheVersion) {
-    throw std::runtime_error("composition cache " + path +
-                             ": bad magic or version");
-  }
-  if (size > RemainingBytes(in)) {
-    throw std::runtime_error("composition cache " + path + ": truncated");
-  }
-  std::vector<uint8_t> payload(size);
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(size));
-    if (!in) {
-      throw std::runtime_error("composition cache " + path + ": truncated");
-    }
-  }
-  uint64_t checksum = 0;
-  get(checksum);
-  if (checksum != BytesChecksum(payload)) {
-    throw std::runtime_error("composition cache " + path +
-                             ": checksum mismatch");
-  }
-  return payload;
 }
 
 DurabilityManifest ReadManifest(const std::string& dir) {

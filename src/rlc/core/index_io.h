@@ -1,59 +1,41 @@
 // Binary serialization of RLC indexes.
 //
-// Little-endian format, common header:
-//   u64 magic  u32 version  u32 k  u64 num_vertices
+// One little-endian format (version 5):
+//   header: u64 magic  u32 version  u32 k  u64 num_vertices
 //   access order: num_vertices * u32 (vertex id at access position i)
 //   MR table: u32 count, then per MR: u8 length + length * u32 labels
 //
-// Version 1 (legacy, still readable):
-//   per vertex: u32 |Lout| + entries, u32 |Lin| + entries
-//   entry: u32 hub_aid, u32 mr_id
+// The sealed CSR layout follows as four flat blocks, loaded back with bulk
+// reads straight into the query-time representation — no per-entry
+// parsing, no per-vertex allocation:
+//   out csr: (num_vertices+1) * u64 offsets, then offsets.back() * 8 bytes
+//            of entries (IndexEntry, packed)
+//   in  csr: same
 //
-// Version 2 (still readable): the sealed CSR layout written as four flat
-// blocks, loaded back with bulk reads straight into the query-time
-// representation — no per-entry parsing, no per-vertex allocation:
-//   out offsets: (num_vertices+1) * u64
-//   out entries: offsets.back() * 8 bytes (IndexEntry, packed)
-//   in  offsets: (num_vertices+1) * u64
-//   in  entries: offsets.back() * 8 bytes
-//
-// Version 3 (still readable): the v2 body followed by the sealed-time
-// vertex signatures (rlc_index.h), so a load skips the signature rebuild
-// pass:
+// Then the sealed-time vertex signatures (rlc_index.h), so a load skips the
+// signature rebuild pass:
 //   out signatures: num_vertices * u64
 //   in  signatures: num_vertices * u64
 //   u64 checksum (FNV fold over both blocks; a corrupt signature would
 //       silently flip answers, so it must fail the load instead)
-// Loading a v1/v2 file rebuilds the signatures from the entry lists; the
-// loaded index is indistinguishable from a v3 load.
 //
-// Version 4 (still readable): the v3 body followed by the pending delta
-// overlay (rlc_index.h / dynamic_index.h), sparse per side — a dynamically
-// maintained index persists without forcing a reseal first:
-//   out deltas: u64 vertex count, then per vertex with deltas
-//               u32 vertex, u32 list length, length * IndexEntry
-//   in  deltas: same
-//   u64 checksum (FNV fold over every value of the section; delta entries
-//       are also range-checked like v2 entries, but an in-range bit flip
-//       must still fail the load, not flip answers)
-// An index without pending deltas writes empty delta sections; the bytes
-// stay a pure function of the logical index state, so save -> load ->
-// resave round-trips byte-identically with or without deltas. Writing
-// versions 1-3 requires an index without pending deltas (they would be
-// silently dropped; call MergeDeltas() first).
-//
-// Version 5 (default): the v4 body followed by the pending tombstone
-// overlay (edge-delete maintenance), encoded exactly like the delta
-// sections — sparse per side, own trailing checksum:
-//   out tombstones: u64 vertex count, then per vertex with tombstones
-//               u32 vertex, u32 list length, length * IndexEntry
-//   in  tombstones: same
-//   u64 checksum
+// Then the pending overlays of a dynamically maintained index
+// (rlc_index.h / dynamic_index.h), so it persists without forcing a reseal
+// first. The delta section and the tombstone section (edge-delete
+// maintenance) share one sparse per-side encoding, each with its own
+// trailing checksum:
+//   out lists: u64 vertex count, then per vertex with pending entries
+//              u32 vertex, u32 list length, length * IndexEntry
+//   in  lists: same
+//   u64 checksum (FNV fold over every value of the section; entries are
+//       also range-checked like CSR entries, but an in-range bit flip must
+//       still fail the load, not flip answers)
 // Every tombstone must reference an existing CSR entry of the loaded
 // index; a tombstone that does not fails the load (it could only come from
-// corruption — the maintenance layer never creates one). Writing versions
-// 1-4 requires an index without pending tombstones (they would silently
-// resurrect suppressed entries; MergeDeltas() first or write v5).
+// corruption — the maintenance layer never creates one). An index without
+// pending overlays writes empty sections; the bytes stay a pure function of
+// the logical index state, so save -> load -> resave round-trips
+// byte-identically.
 //
 // Intended use: build once offline (the expensive step the paper measures in
 // Table IV), persist, then serve queries from a load that is a straight
@@ -63,7 +45,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,24 +53,20 @@
 
 namespace rlc {
 
-/// The version WriteIndex emits by default.
+/// The format version WriteIndex emits and ReadIndex accepts.
 inline constexpr uint32_t kIndexFormatVersion = 5;
 
-/// Writes `index` to `out` in format `version` (1-5). The index may be
-/// sealed or not; the bytes are identical either way (v3+ signatures are
+/// Writes `index` to `out`, pending overlays included. The index may be
+/// sealed or not; the bytes are identical either way (signatures are
 /// computed on the fly for unsealed indexes).
-/// \throws std::invalid_argument on an unsupported version, a version below
-///         4 when the index has pending delta entries, or a version below 5
-///         when it has pending tombstones.
-void WriteIndex(const RlcIndex& index, std::ostream& out,
-                uint32_t version = kIndexFormatVersion);
+void WriteIndex(const RlcIndex& index, std::ostream& out);
 
-/// Reads an index (any supported version) from `in`. The result is sealed.
-/// Hardened against untrusted bytes: any corruption — truncation, bad
-/// counts, out-of-range ids, checksum mismatches — produces a clean
-/// std::runtime_error naming `source` (the file path, or "<stream>"), the
-/// section and the byte offset of the failure; never UB, an abort, or an
-/// unbounded allocation.
+/// Reads an index from `in`. The result is sealed. Hardened against
+/// untrusted bytes: any corruption — truncation, bad counts, out-of-range
+/// ids, checksum mismatches, a version other than kIndexFormatVersion —
+/// produces a clean std::runtime_error naming `source` (the file path, or
+/// "<stream>"), the section and the byte offset of the failure; never UB,
+/// an abort, or an unbounded allocation.
 RlcIndex ReadIndex(std::istream& in);
 RlcIndex ReadIndex(std::istream& in, const std::string& source);
 
@@ -111,20 +88,6 @@ RlcIndex LoadIndex(const std::string& path);
 ///         file may be left behind; `path` itself is never torn).
 void AtomicWriteFile(const std::string& path, std::string_view bytes,
                      const char* failpoint_site = "index_io.save");
-
-/// Persists an opaque composition-cache payload (CompositionEngine::
-/// SerializeCache) with framing — magic, version, length, FNV checksum —
-/// via AtomicWriteFile (failpoint site "compose.save"). The warm boundary
-/// transition tables are a pure cache, so the framing only has to make
-/// corruption *detectable*; the reader rejects, the engine restarts cold.
-/// \throws std::runtime_error on I/O failure or an injected fault.
-void WriteCompositionCache(const std::string& path,
-                           std::span<const uint8_t> payload);
-
-/// Reads a WriteCompositionCache file back into the raw payload.
-/// \throws std::runtime_error on a missing/unreadable file, bad magic or
-///         version, truncation, or a checksum mismatch.
-std::vector<uint8_t> ReadCompositionCache(const std::string& path);
 
 /// One durable snapshot generation of a store (durable_index.h).
 struct SnapshotGeneration {

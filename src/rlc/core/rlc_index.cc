@@ -425,10 +425,7 @@ void RlcIndex::ComputeSignatures(bool keep_vertex_sigs) {
   for (MrId id = 0; id < mrs_.size(); ++id) {
     mr_query_sig_[id] = LabelSignature(mrs_.Get(id).labels()) | MrBloomBit(id);
   }
-  if (keep_vertex_sigs && out_sigs_.size() == aid_.size() &&
-      in_sigs_.size() == aid_.size()) {
-    return;  // adopted from a v3 file
-  }
+  if (keep_vertex_sigs) return;
   const VertexId n = num_vertices();
   out_sigs_.assign(n, 0);
   in_sigs_.assign(n, 0);
@@ -462,8 +459,7 @@ void RlcIndex::AdoptSealed(std::vector<uint64_t> out_offsets,
                            std::vector<uint64_t> in_sigs) {
   RLC_CHECK_MSG(!sealed_ && NumEntries() == 0,
                 "RlcIndex::AdoptSealed: index already has entries");
-  RLC_REQUIRE(out_sigs.size() == in_sigs.size() &&
-                  (out_sigs.empty() || out_sigs.size() == aid_.size()),
+  RLC_REQUIRE(out_sigs.size() == aid_.size() && in_sigs.size() == aid_.size(),
               "AdoptSealed: signature array size mismatch");
   auto validate = [&](const std::vector<uint64_t>& offsets,
                       const std::vector<IndexEntry>& entries) {
@@ -492,7 +488,6 @@ void RlcIndex::AdoptSealed(std::vector<uint64_t> out_offsets,
   out_entries_ = std::move(out_entries);
   in_offsets_ = std::move(in_offsets);
   in_entries_ = std::move(in_entries);
-  const bool adopted_sigs = !out_sigs.empty() || aid_.empty();
   out_sigs_ = std::move(out_sigs);
   in_sigs_ = std::move(in_sigs);
   out_.clear();
@@ -500,7 +495,7 @@ void RlcIndex::AdoptSealed(std::vector<uint64_t> out_offsets,
   in_.clear();
   in_.shrink_to_fit();
   sealed_ = true;
-  ComputeSignatures(/*keep_vertex_sigs=*/adopted_sigs);
+  ComputeSignatures(/*keep_vertex_sigs=*/true);
 }
 
 void RlcIndex::AddDeltaOut(VertexId v, uint32_t hub_aid, MrId mr) {

@@ -19,8 +19,8 @@
 // vectors (cheap appends). Seal() then flattens both sides into CSR form —
 // one offset array plus one contiguous IndexEntry buffer per side — which
 // removes a pointer chase per query, halves allocator metadata, and enables
-// the memcpy'd v2 serialization format (index_io.h). Queries work in either
-// phase; mutation is only allowed before sealing.
+// the memcpy'd CSR blocks of the index file (index_io.h). Queries work in
+// either phase; mutation is only allowed before sealing.
 //
 // Sealing additionally computes one 64-bit *signature* per (vertex, side):
 // a hub-id Bloom filter (bits 0-31), a label presence mask (bits 32-47) and
@@ -29,8 +29,8 @@
 // its MR requires; most negative probes are refuted by those two loads
 // alone, before any entry list is touched. Signatures are conservative
 // (never a false negative), so answers are bit-identical with them on or
-// off. They persist in the v3 file format and are rebuilt on load when
-// absent (v1/v2 files).
+// off. They persist in the index file (index_io.h), so a load adopts them
+// instead of rebuilding.
 //
 // A sealed index additionally accepts a *delta overlay* (incremental
 // edge-insert maintenance, dynamic_index.h): AddDeltaOut/AddDeltaIn append
@@ -288,21 +288,20 @@ class RlcIndex {
   uint64_t tombstone_entries() const { return tombstone_entries_; }
   ///@}
 
-  /// Installs pre-built CSR storage (the v2/v3 deserialization path).
-  /// Offsets must be monotone with offsets.front() == 0, offsets.back() ==
-  /// entries.size() and size num_vertices()+1; entry lists must be sorted by
-  /// hub access id. When signature arrays are provided (v3 files) they must
-  /// have num_vertices() slots each and are installed as-is; when empty
-  /// they are rebuilt from the entry lists (v1/v2 files). The MR table must
-  /// already hold every MR the entries reference (signatures fold MR label
-  /// sets).
+  /// Installs pre-built CSR storage and vertex signatures (the
+  /// deserialization path). Offsets must be monotone with offsets.front()
+  /// == 0, offsets.back() == entries.size() and size num_vertices()+1;
+  /// entry lists must be sorted by hub access id. The signature arrays must
+  /// have num_vertices() slots each and are installed as-is. The MR table
+  /// must already hold every MR the entries reference (the query-time
+  /// per-MR bits fold MR label sets).
   /// \throws std::invalid_argument on violation.
   void AdoptSealed(std::vector<uint64_t> out_offsets,
                    std::vector<IndexEntry> out_entries,
                    std::vector<uint64_t> in_offsets,
                    std::vector<IndexEntry> in_entries,
-                   std::vector<uint64_t> out_sigs = {},
-                   std::vector<uint64_t> in_sigs = {});
+                   std::vector<uint64_t> out_sigs,
+                   std::vector<uint64_t> in_sigs);
   ///@}
 
   /// \name Introspection
@@ -362,9 +361,9 @@ class RlcIndex {
   /// Signature of one entry list (used for unsealed writes and rebuilds).
   uint64_t ListSignature(std::span<const IndexEntry> entries) const;
 
-  /// Fills out_sigs_/in_sigs_ (unless adopted from a v3 file) and the
-  /// per-MR required-bit table. Requires sealed CSR storage and a frozen MR
-  /// table.
+  /// Fills the per-MR required-bit table and, unless `keep_vertex_sigs`
+  /// (AdoptSealed installed them), out_sigs_/in_sigs_. Requires sealed CSR
+  /// storage and a frozen MR table.
   void ComputeSignatures(bool keep_vertex_sigs);
 
   /// The sealed signature-guarded query: `needed` is mr_query_sig_[mr].

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "rlc/obs/metrics.h"
@@ -11,30 +10,6 @@
 namespace rlc {
 
 namespace {
-
-void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint32_t ReadU32(std::span<const uint8_t> bytes, size_t& off) {
-  RLC_REQUIRE(off + 4 <= bytes.size(), "compose cache: truncated payload");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes[off + i]) << (8 * i);
-  off += 4;
-  return v;
-}
-
-uint64_t ReadU64(std::span<const uint8_t> bytes, size_t& off) {
-  RLC_REQUIRE(off + 8 <= bytes.size(), "compose cache: truncated payload");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes[off + i]) << (8 * i);
-  off += 8;
-  return v;
-}
 
 /// What a product walk does with the state an edge reaches.
 enum class Arrival { kSeen, kFresh, kStop };
@@ -491,145 +466,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     }
   }
   return result;
-}
-
-std::vector<uint8_t> CompositionEngine::SerializeCache() const {
-  std::vector<uint8_t> out;
-  AppendU32(out, partition_.num_shards());
-  AppendU32(out, static_cast<uint32_t>(plans_.size()));
-  // Deterministic payload: plans in constraint order; per shard plan its
-  // distinct rows in order of their first slot, then the built slots in
-  // slot order, each naming its row.
-  std::vector<const Plan*> ordered;
-  ordered.reserve(plans_.size());
-  for (const auto& [seq, plan] : plans_) ordered.push_back(plan.get());
-  std::sort(ordered.begin(), ordered.end(), [](const Plan* a, const Plan* b) {
-    if (a->j != b->j) return a->j < b->j;
-    for (uint32_t i = 0; i < a->j; ++i) {
-      if (a->seq[i] != b->seq[i]) return a->seq[i] < b->seq[i];
-    }
-    return false;
-  });
-  for (const Plan* plan : ordered) {
-    AppendU32(out, plan->j);
-    for (uint32_t i = 0; i < plan->j; ++i) AppendU32(out, plan->seq[i]);
-    for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-      const ShardPlan& sp = *plan->shards[s];
-      out.push_back(sp.tables ? 1 : 0);
-      AppendU32(out, sp.num_boundary);
-      if (!sp.tables) continue;
-      const uint32_t words = static_cast<uint32_t>(
-          (static_cast<uint64_t>(sp.num_boundary) * plan->j + 63) / 64);
-      std::unordered_map<const BoundaryRow*, uint32_t> ref_of;
-      std::vector<const BoundaryRow*> rows;
-      std::vector<std::pair<uint32_t, uint32_t>> slots;  // (slot, row ref)
-      for (uint32_t idx = 0; idx < sp.num_boundary * plan->j; ++idx) {
-        const BoundaryRow* row = sp.Row(idx);
-        if (row == nullptr) continue;
-        const auto [it, fresh] =
-            ref_of.emplace(row, static_cast<uint32_t>(rows.size()));
-        if (fresh) rows.push_back(row);
-        slots.emplace_back(idx, it->second);
-      }
-      AppendU32(out, words);
-      AppendU32(out, static_cast<uint32_t>(rows.size()));
-      for (const BoundaryRow* row : rows) {
-        for (const uint64_t w : row->bits) AppendU64(out, w);
-      }
-      AppendU32(out, static_cast<uint32_t>(slots.size()));
-      for (const auto& [idx, ref] : slots) {
-        AppendU32(out, idx);
-        AppendU32(out, ref);
-      }
-    }
-  }
-  return out;
-}
-
-bool CompositionEngine::RestoreCache(std::span<const uint8_t> bytes) {
-  plans_.clear();
-  size_t off = 0;
-  try {
-    if (ReadU32(bytes, off) != partition_.num_shards()) {
-      plans_.clear();
-      return false;
-    }
-    const uint32_t num_plans = ReadU32(bytes, off);
-    for (uint32_t pi = 0; pi < num_plans; ++pi) {
-      const uint32_t j = ReadU32(bytes, off);
-      RLC_REQUIRE(j >= 1 && j <= kMaxK, "compose cache: bad constraint length");
-      std::vector<Label> labels(j);
-      for (uint32_t i = 0; i < j; ++i) labels[i] = ReadU32(bytes, off);
-      const LabelSeq seq{std::span<const Label>(labels)};
-      PreparePlan(seq);
-      Plan& plan = *plans_.find(seq)->second;
-      for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-        ShardPlan& sp = *plan.shards[s];
-        RLC_REQUIRE(off < bytes.size(), "compose cache: truncated payload");
-        const bool tables = bytes[off++] != 0;
-        const uint32_t num_boundary = ReadU32(bytes, off);
-        // A shape mismatch means the payload was written against a
-        // different partition state: stay cold rather than trust it.
-        if (tables != sp.tables || num_boundary != sp.num_boundary) {
-          plans_.clear();
-          return false;
-        }
-        if (!sp.tables) continue;
-        const uint32_t num_slots = sp.num_boundary * plan.j;
-        const uint32_t words = ReadU32(bytes, off);
-        const uint32_t expect_words = (num_slots + 63) / 64;
-        const uint32_t num_rows = ReadU32(bytes, off);
-        if (words != expect_words || num_rows > num_slots) {
-          plans_.clear();
-          return false;
-        }
-        const size_t first_id = sp.owned.size();
-        for (uint32_t r = 0; r < num_rows; ++r) {
-          auto row = std::make_unique<BoundaryRow>();
-          row->bits.resize(words);
-          for (uint32_t w = 0; w < words; ++w) {
-            row->bits[w] = ReadU64(bytes, off);
-          }
-          sp.owned.push_back(std::move(row));
-        }
-        const uint32_t built = ReadU32(bytes, off);
-        if (built > num_slots || (built == 0) != (num_rows == 0)) {
-          plans_.clear();
-          return false;
-        }
-        if (built == 0) continue;
-        // Restored slots are finished states to later builds, which OR in
-        // their rows instead of walking past them.
-        sp.slots = std::make_unique<std::atomic<const BoundaryRow*>[]>(num_slots);
-        sp.rows.store(sp.slots.get(), std::memory_order_release);
-        const ShardInfo& shard = partition_.shard(s);
-        sp.build_state.assign(
-            static_cast<size_t>(shard.graph.num_vertices()) * plan.j, 0);
-        for (uint32_t b = 0; b < built; ++b) {
-          const uint32_t idx = ReadU32(bytes, off);
-          const uint32_t ref = ReadU32(bytes, off);
-          if (idx >= num_slots || ref >= num_rows ||
-              sp.Row(idx) != nullptr) {
-            plans_.clear();
-            return false;
-          }
-          const uint32_t id = static_cast<uint32_t>(first_id + ref);
-          sp.slots[idx].store(sp.owned[id].get(), std::memory_order_release);
-          sp.build_state[static_cast<uint64_t>(shard.boundary[idx / plan.j]) *
-                             plan.j +
-                         idx % plan.j] = kFinished | id;
-        }
-      }
-    }
-    if (off != bytes.size()) {
-      plans_.clear();
-      return false;
-    }
-  } catch (...) {
-    plans_.clear();
-    return false;
-  }
-  return true;
 }
 
 uint64_t CompositionEngine::MemoryBytes() const {

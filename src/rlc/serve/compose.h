@@ -65,13 +65,15 @@
 // dropped and rebuilt lazily on next use; shards whose epoch did not move
 // keep theirs. This happens per constraint, as each cached plan is next
 // prepared. Reseals do not bump epochs (tables depend on the graph, not
-// the index).
+// the index). Tables live only in memory: a recovered service's engine
+// starts cold, exactly like a fresh one (the WAL tail replayed during
+// recovery would bump the touched shards' epochs anyway).
 //
-// Thread contract: PreparePlan, mutation notifications and cache
-// serialization are owner-thread-only. ComposedQuery on a prepared plan is
-// safe to fan out across a worker pool (per-call Scratch; row builds run
-// under a per-shard-plan build mutex and publish the lazily allocated
-// slot array and each row with release stores, read with acquire).
+// Thread contract: PreparePlan and mutation notifications are
+// owner-thread-only. ComposedQuery on a prepared plan is safe to fan out
+// across a worker pool (per-call Scratch; row builds run under a
+// per-shard-plan build mutex and publish the lazily allocated slot array
+// and each row with release stores, read with acquire).
 
 #pragma once
 
@@ -79,7 +81,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -238,19 +239,6 @@ class CompositionEngine {
   }
   /// Drops every cached plan with its transition tables.
   void InvalidateAll() { plans_.clear(); }
-
-  /// Serializes the built transition rows (warm-cache checkpoint payload;
-  /// index_io.h frames it into a file): each distinct row object once,
-  /// then the slots that reference it. Deterministic for a fixed cache
-  /// state. Owner thread only.
-  std::vector<uint8_t> SerializeCache() const;
-
-  /// Restores a SerializeCache payload, one row object per distinct row,
-  /// so restored slots share rows exactly as the saved ones did. Returns
-  /// false (leaving the cache cold but the engine fully usable) when the
-  /// payload does not match the current partition shape. Owner thread
-  /// only, before any concurrent queries.
-  bool RestoreCache(std::span<const uint8_t> bytes);
 
   const ComposeOptions& options() const { return options_; }
   size_t num_cached_plans() const { return plans_.size(); }

@@ -151,18 +151,6 @@ ShardedRlcService::ShardedRlcService(const DiGraph& g, ServiceOptions options)
   // through ApplyUpdatesInternal, which already notifies it of mutations.
   compose_ = std::make_unique<CompositionEngine>(partition_, shard_dyn_,
                                                  options_.compose);
-  if (recovered) {
-    // Warm the transition tables from the recovered generation's
-    // compose.snap. The file is a pure cache: absent, corrupt, or written
-    // against a different partition shape all mean "start cold", never a
-    // recovery failure.
-    try {
-      const std::vector<uint8_t> payload = ReadCompositionCache(
-          GenDir(recovery_.generation) + "/compose.snap");
-      compose_->RestoreCache(payload);
-    } catch (const std::exception&) {
-    }
-  }
 
   const uint32_t exec_threads =
       ThreadPool::ResolveThreads(options_.exec_threads);
@@ -397,13 +385,6 @@ void ShardedRlcService::Checkpoint() {
                       last_lsn_, shard_dyn_[shard]->inserted_edges(),
                       shard_dyn_[shard]->removed_edges(),
                       &shard_dyn_[shard]->index());
-  }
-  // Warm-cache checkpoint of the composition engine's built transition
-  // rows: recovery restores them so the first cross-shard probes after a
-  // restart skip the lazy rebuilds. Correctness never depends on it.
-  if (compose_ != nullptr) {
-    const std::vector<uint8_t> payload = compose_->SerializeCache();
-    WriteCompositionCache(gdir + "/compose.snap", payload);
   }
   std::vector<EdgeUpdate> removed;
   removed.reserve(deleted_base_.size());

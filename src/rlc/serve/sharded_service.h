@@ -102,13 +102,12 @@ struct ServiceOptions {
   /// service logs every ApplyUpdates batch to a WAL before applying it and
   /// checkpoints generation-numbered snapshot directories:
   ///   <dir>/MANIFEST, <dir>/wal-<G>.log,
-  ///   <dir>/gen-<G>/{service.snap, compose.snap, shard-<i>.snap}
+  ///   <dir>/gen-<G>/{service.snap, shard-<i>.snap}
   /// When the directory already holds a durable state, the constructor
   /// recovers it — per-shard snapshots load in parallel on the build pool,
-  /// skipping every index build — and replays the WAL tail. compose.snap
-  /// is a pure warm-cache: a missing or corrupt one restarts the
-  /// transition tables cold, never fails recovery. Empty dir (default)
-  /// disables durability.
+  /// skipping every index build — and replays the WAL tail. Composition
+  /// transition tables are not persisted: they rebuild lazily, as in a
+  /// fresh service. Empty dir (default) disables durability.
   DurabilityOptions durability;
   /// Default per-batch execution budget for Execute(batch) in nanoseconds
   /// (0 = none); overridable per call via ExecuteLimits. When the budget

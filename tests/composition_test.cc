@@ -15,10 +15,9 @@
 // category: both endpoints boundary vertices, both interior, and mixed.
 // A table budget of 1 admits no transition table, so those cells drive
 // every skeleton hop through on-the-fly expansion.
-// A second group round-trips the composition warm cache through
-// SerializeCache / WriteCompositionCache / ReadCompositionCache /
-// RestoreCache, including corruption and shape-mismatch rejection. Later
-// groups pin the skeleton walk, the row-build DFS (rows bit for bit
+// A second group pins the checkpoint layout: transition tables are never
+// persisted, so a recovered service's engine starts cold. Later groups pin
+// the skeleton walk, the row-build DFS (rows bit for bit
 // against a brute-force product BFS, shared row objects, cross-build
 // reuse) and concurrent builds on one cold plan.
 
@@ -28,13 +27,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "rlc/core/index_io.h"
 #include "rlc/core/indexer.h"
 #include "rlc/graph/generators.h"
 #include "rlc/graph/label_assign.h"
@@ -200,19 +199,87 @@ TEST(CompositionSweepTest, Community) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-cache IO: SerializeCache payloads survive the file framing, restore
-// into a same-shape engine byte-deterministically, and are rejected (engine
-// stays usable, cold) on corruption or a different partition shape.
+// Checkpoint layout: a generation holds the service snapshot and one
+// snapshot per shard, nothing else. Transition tables stay in memory, so a
+// recovered engine starts cold and a stale compose.snap (the warm-cache
+// file older builds wrote) is ignored, then retired with its generation.
 
-std::string TempCachePath() {
-  std::string templ =
-      (fs::temp_directory_path() / "rlc_compose_cache_XXXXXX").string();
-  std::vector<char> buf(templ.begin(), templ.end());
-  buf.push_back('\0');
-  if (::mkdtemp(buf.data()) == nullptr) {
-    throw std::runtime_error("mkdtemp failed for " + templ);
+TEST(ServiceCheckpointTest, GenerationHoldsOnlyServiceAndShardSnapshots) {
+  const DiGraph g = ErGraph(50, 200, 3, 0x20);
+  const RlcIndex oracle = BuildSealed(g, 2);
+  std::string dir;
+  {
+    std::string templ =
+        (fs::temp_directory_path() / "rlc_compose_svc_XXXXXX").string();
+    std::vector<char> buf(templ.begin(), templ.end());
+    buf.push_back('\0');
+    ASSERT_NE(::mkdtemp(buf.data()), nullptr);
+    dir = buf.data();
   }
-  return std::string(buf.data()) + "/compose.snap";
+  ServiceOptions options;
+  options.partition.num_shards = 3;
+  options.indexer.k = 2;
+  options.durability.dir = dir;
+  options.durability.checkpoint_wal_bytes = 0;
+  const auto gen_dir = [&](uint64_t gen) {
+    return fs::path(dir) / ("gen-" + std::to_string(gen));
+  };
+  const auto expect_layout = [&](uint64_t gen) {
+    std::set<std::string> want = {"service.snap"};
+    for (uint32_t i = 0; i < options.partition.num_shards; ++i) {
+      want.insert("shard-" + std::to_string(i) + ".snap");
+    }
+    std::set<std::string> got;
+    for (const auto& entry : fs::directory_iterator(gen_dir(gen))) {
+      got.insert(entry.path().filename().string());
+    }
+    EXPECT_EQ(got, want) << "gen-" << gen;
+  };
+
+  Rng rng(0x20);
+  uint64_t warm_gen = 0;
+  {
+    ShardedRlcService service(g, options);
+    for (int i = 0; i < 200; ++i) {  // build transition rows
+      service.Query(static_cast<VertexId>(rng.Below(g.num_vertices())),
+                    static_cast<VertexId>(rng.Below(g.num_vertices())),
+                    RandomPrimitiveSeq(1 + rng.Below(2), g.num_labels(), rng));
+    }
+    ASSERT_GT(service.composition().num_cached_plans(), 0u);
+    service.Checkpoint();
+    warm_gen = service.generation();
+    expect_layout(warm_gen);
+  }
+  const fs::path stale = gen_dir(warm_gen) / "compose.snap";
+  std::ofstream(stale, std::ios::binary) << "stale composition cache";
+  ASSERT_TRUE(fs::exists(stale));
+
+  {
+    ShardedRlcService reopened(g, options);
+    ASSERT_TRUE(reopened.recovery_info().recovered);
+    EXPECT_EQ(reopened.recovery_info().generation, warm_gen);
+    EXPECT_EQ(reopened.composition().num_cached_plans(), 0u);
+    expect_layout(reopened.generation());  // the constructor's checkpoint
+    Rng prng(0x21);
+    for (int i = 0; i < 400; ++i) {
+      const auto s = static_cast<VertexId>(prng.Below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(prng.Below(g.num_vertices()));
+      const LabelSeq c =
+          RandomPrimitiveSeq(1 + prng.Below(2), g.num_labels(), prng);
+      ASSERT_EQ(oracle.Query(s, t, c), reopened.Query(s, t, c))
+          << "s=" << s << " t=" << t << " L=" << c.ToString();
+    }
+    // Retention retires the recovered generation, planted file and all.
+    for (uint32_t i = 0; i < options.durability.keep_generations; ++i) {
+      reopened.Checkpoint();
+    }
+    EXPECT_FALSE(fs::exists(gen_dir(warm_gen)));
+    expect_layout(reopened.generation());
+  }
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    EXPECT_NE(entry.path().filename(), "compose.snap") << entry.path();
+  }
+  fs::remove_all(dir);
 }
 
 struct EngineParts {
@@ -233,169 +300,6 @@ EngineParts MakeParts(const DiGraph& g, uint32_t num_shards,
         sg, BuildSealed(sg, 2), ResealPolicy{}));
   }
   return parts;
-}
-
-TEST(CompositionCacheIoTest, RoundTripRestoresWarmTables) {
-  const DiGraph g = ErGraph(60, 260, 3, 0x10);
-  const EngineParts parts = MakeParts(g, 3, PartitionPolicy::kHash);
-  CompositionEngine warm(parts.partition, parts.shards);
-
-  // Warm the cache: prepare plans and run probes so transition rows build.
-  Rng rng(0x10);
-  CompositionEngine::Scratch scratch;
-  std::vector<LabelSeq> seqs;
-  for (uint32_t i = 0; i < 4; ++i) {
-    seqs.push_back(RandomPrimitiveSeq(1 + i % 2, g.num_labels(), rng));
-  }
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  for (int i = 0; i < 40; ++i) {
-    pairs.emplace_back(static_cast<VertexId>(rng.Below(g.num_vertices())),
-                       static_cast<VertexId>(rng.Below(g.num_vertices())));
-  }
-  std::vector<uint8_t> want;
-  for (const LabelSeq& seq : seqs) {
-    const CompositionEngine::Plan& plan = warm.PreparePlan(seq);
-    for (const auto& [s, t] : pairs) {
-      want.push_back(warm.ComposedQuery(s, t, plan, scratch).reachable ? 1 : 0);
-    }
-  }
-
-  // Payload -> file -> payload is identity.
-  const std::vector<uint8_t> payload = warm.SerializeCache();
-  const std::string path = TempCachePath();
-  WriteCompositionCache(path, payload);
-  const std::vector<uint8_t> read = ReadCompositionCache(path);
-  EXPECT_EQ(payload, read);
-
-  // Restore into a fresh engine over the same partition shape: accepted,
-  // resaves byte-identically, and answers match the warm engine.
-  CompositionEngine cold(parts.partition, parts.shards);
-  ASSERT_TRUE(cold.RestoreCache(read));
-  EXPECT_EQ(cold.SerializeCache(), payload);
-
-  // Boundary states of one product SCC share one row object; the restore
-  // keeps exactly that sharing: two slots share a restored row iff they
-  // shared the warm one.
-  uint32_t shared_slots = 0;
-  for (const LabelSeq& seq : seqs) {
-    const CompositionEngine::Plan& wp = warm.PreparePlan(seq);
-    const CompositionEngine::Plan& cp = cold.PreparePlan(seq);
-    for (uint32_t sh = 0; sh < parts.partition.num_shards(); ++sh) {
-      const auto& wsp = *wp.shards[sh];
-      const auto& csp = *cp.shards[sh];
-      if (!wsp.tables) continue;
-      std::map<const CompositionEngine::BoundaryRow*,
-               const CompositionEngine::BoundaryRow*>
-          warm_to_cold;
-      std::map<const CompositionEngine::BoundaryRow*, uint32_t> cold_uses;
-      for (uint32_t idx = 0; idx < wsp.num_boundary * wp.j; ++idx) {
-        const auto* w = wsp.Row(idx);
-        const auto* c = csp.Row(idx);
-        ASSERT_EQ(w == nullptr, c == nullptr) << "slot " << idx;
-        if (w == nullptr) continue;
-        EXPECT_EQ(w->bits, c->bits);
-        const auto [it, fresh] = warm_to_cold.emplace(w, c);
-        EXPECT_EQ(it->second, c) << "slot " << idx << " lost its sharing";
-        if (!fresh) ++shared_slots;
-        ++cold_uses[c];
-      }
-      EXPECT_EQ(cold_uses.size(), warm_to_cold.size())
-          << "restore merged distinct rows";
-    }
-  }
-  EXPECT_GT(shared_slots, 0u) << "no warm row was shared; the round trip "
-                                 "pins nothing about sharing";
-  CompositionEngine::Scratch cold_scratch;
-  size_t i = 0;
-  for (const LabelSeq& seq : seqs) {
-    const CompositionEngine::Plan& plan = cold.PreparePlan(seq);
-    for (const auto& [s, t] : pairs) {
-      EXPECT_EQ(want[i++] != 0,
-                cold.ComposedQuery(s, t, plan, cold_scratch).reachable)
-          << "s=" << s << " t=" << t << " L=" << seq.ToString();
-    }
-  }
-
-  // Corruption is detectable: any flipped byte fails the framing checksum.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
-    char b = 0;
-    f.seekg(static_cast<std::streamoff>(fs::file_size(path) / 2));
-    f.read(&b, 1);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
-    b = static_cast<char>(b ^ 0x40);
-    f.write(&b, 1);
-  }
-  EXPECT_THROW(ReadCompositionCache(path), std::runtime_error);
-
-  // Shape mismatch: a different shard count rejects the payload but the
-  // engine stays fully usable (cold).
-  const EngineParts other = MakeParts(g, 4, PartitionPolicy::kRange);
-  CompositionEngine mismatched(other.partition, other.shards);
-  EXPECT_FALSE(mismatched.RestoreCache(payload));
-  EXPECT_EQ(mismatched.num_cached_plans(), 0u);
-  CompositionEngine::Scratch mm_scratch;
-  const CompositionEngine::Plan& plan = mismatched.PreparePlan(seqs[0]);
-  (void)mismatched.ComposedQuery(pairs[0].first, pairs[0].second, plan,
-                                 mm_scratch);
-
-  fs::remove_all(fs::path(path).parent_path());
-}
-
-TEST(CompositionCacheIoTest, ServiceCheckpointCarriesComposeSnap) {
-  // End to end through the service: a checkpointed generation contains
-  // compose.snap; deleting it does NOT break recovery (pure warm cache) —
-  // the reopened service answers identically either way.
-  const DiGraph g = ErGraph(50, 200, 3, 0x20);
-  const RlcIndex oracle = BuildSealed(g, 2);
-  std::string dir;
-  {
-    std::string templ =
-        (fs::temp_directory_path() / "rlc_compose_svc_XXXXXX").string();
-    std::vector<char> buf(templ.begin(), templ.end());
-    buf.push_back('\0');
-    ASSERT_NE(::mkdtemp(buf.data()), nullptr);
-    dir = buf.data();
-  }
-  ServiceOptions options;
-  options.partition.num_shards = 3;
-  options.indexer.k = 2;
-  options.durability.dir = dir;
-  options.durability.checkpoint_wal_bytes = 0;
-  Rng rng(0x20);
-  {
-    ShardedRlcService service(g, options);
-    for (int i = 0; i < 200; ++i) {  // warm the compose cache
-      service.Query(static_cast<VertexId>(rng.Below(g.num_vertices())),
-                    static_cast<VertexId>(rng.Below(g.num_vertices())),
-                    RandomPrimitiveSeq(1 + rng.Below(2), g.num_labels(), rng));
-    }
-    service.Checkpoint();
-  }
-  std::vector<fs::path> snaps;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (entry.path().filename() == "compose.snap") snaps.push_back(entry);
-  }
-  ASSERT_FALSE(snaps.empty()) << "checkpoint wrote no compose.snap under "
-                              << dir;
-  const auto check = [&] {
-    ShardedRlcService reopened(g, options);
-    EXPECT_TRUE(reopened.recovery_info().recovered);
-    Rng prng(0x21);
-    for (int i = 0; i < 400; ++i) {
-      const auto s = static_cast<VertexId>(prng.Below(g.num_vertices()));
-      const auto t = static_cast<VertexId>(prng.Below(g.num_vertices()));
-      const LabelSeq c =
-          RandomPrimitiveSeq(1 + prng.Below(2), g.num_labels(), prng);
-      ASSERT_EQ(oracle.Query(s, t, c), reopened.Query(s, t, c))
-          << "s=" << s << " t=" << t << " L=" << c.ToString();
-    }
-  };
-  check();                                       // warm restore path
-  for (const fs::path& p : snaps) fs::remove(p);
-  check();                                       // cold path: cache absent
-  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

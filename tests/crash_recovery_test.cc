@@ -726,8 +726,8 @@ TEST(ServiceDurabilityTest, ReopenRecoversService) {
   // Recovery must not have rebuilt shard indexes from scratch: the
   // partition/build split is visible through stats (index_build covers
   // recovery here, so just verify answers). Cross-shard probes inside
-  // ExpectServiceIsPrefix exercise the recovered composition engine,
-  // warm-started from gen-<G>/compose.snap when present.
+  // ExpectServiceIsPrefix exercise the recovered composition engine, which
+  // starts cold and builds its transition rows on demand.
   ExpectServiceIsPrefix(service, g, updates, updates.size());
   fs::remove_all(dir);
 }

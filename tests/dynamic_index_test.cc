@@ -482,6 +482,41 @@ TEST(DynamicIndexTest, MixedMutationsAcrossBackgroundReseal) {
   ExpectMatchesRebuild(dyn, 2);
 }
 
+TEST(DynamicIndexTest, NoReplayLogWithoutReseal) {
+  // Overlay mutations are logged only as a background reseal's replay
+  // source. With no reseal in flight, repeating one insert/delete cycle
+  // leaves every overlay buffer at the size the first cycle grew it to, so
+  // the bytes outside the index stay flat however many mutations ran.
+  const DiGraph g = ErGraph(60, 200, 3, 167);
+  DynamicRlcIndex dyn(g, BuildSealed(g, 2),
+                      ResealPolicy{.max_delta_ratio = 1e9});
+  Rng rng(173);
+  EdgeUpdate e{};
+  for (;;) {  // an edge whose insert adds delta entries
+    e = RandomNewEdge(dyn, rng);
+    const uint64_t before = dyn.stats().delta_entries_added;
+    ASSERT_TRUE(dyn.InsertEdge(e.src, e.label, e.dst));
+    ASSERT_TRUE(dyn.DeleteEdge(e.src, e.label, e.dst));
+    if (dyn.stats().delta_entries_added > before) break;
+  }
+  const auto overlay_bytes = [&] {
+    return dyn.MemoryBytes() - dyn.index().MemoryBytes();
+  };
+  const auto logged = [&] {
+    return dyn.stats().delta_entries_added + dyn.stats().entries_suppressed;
+  };
+  const uint64_t bytes = overlay_bytes();
+  const uint64_t records = logged();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(dyn.InsertEdge(e.src, e.label, e.dst));
+    ASSERT_TRUE(dyn.DeleteEdge(e.src, e.label, e.dst));
+  }
+  EXPECT_FALSE(dyn.reseal_in_flight());
+  EXPECT_GE(logged(), records + 50);
+  EXPECT_EQ(overlay_bytes(), bytes);
+  ExpectMatchesRebuild(dyn, 2);
+}
+
 TEST(DynamicIndexTest, DeleteMissingEdgeIsExactNoOp) {
   const DiGraph g = ErGraph(40, 140, 3, 151);
   DynamicRlcIndex dyn(g, BuildSealed(g, 2));

@@ -1,11 +1,16 @@
 // Serialization round-trip and corruption tests for the index format.
+// Corruption cases target one section each — CSR entries, signatures,
+// deltas, tombstones, the header's version — and check that the load
+// fails there.
 
 #include "rlc/core/index_io.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "rlc/baselines/online_search.h"
 #include "rlc/core/dynamic_index.h"
@@ -29,11 +34,33 @@ void ExpectSameIndex(const RlcIndex& a, const RlcIndex& b) {
     EXPECT_EQ(a.AccessId(v), b.AccessId(v));
     EXPECT_TRUE(std::ranges::equal(a.Lout(v), b.Lout(v))) << "Lout at v=" << v;
     EXPECT_TRUE(std::ranges::equal(a.Lin(v), b.Lin(v))) << "Lin at v=" << v;
-    // Signatures are a pure function of the lists, so they must agree no
-    // matter which format version (or rebuild path) produced each side.
+    // Signatures are a pure function of the lists, so an adopted signature
+    // must equal the one a build computed.
     EXPECT_EQ(a.OutSignature(v), b.OutSignature(v)) << "out sig at v=" << v;
     EXPECT_EQ(a.InSignature(v), b.InSignature(v)) << "in sig at v=" << v;
   }
+}
+
+/// Expects `bytes` to fail the load with an error naming `section`.
+void ExpectLoadFailsIn(const std::string& bytes, const std::string& section,
+                       const std::string& what_for) {
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  try {
+    (void)ReadIndex(in);
+    ADD_FAILURE() << what_for << ": load succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("[section: " + section + ","),
+              std::string::npos)
+        << what_for << ": " << e.what();
+  }
+}
+
+/// Byte offset where the signature section starts in the image of an index
+/// without pending overlays: the signatures (2n words + checksum) and the
+/// two empty overlay sections (3 words each) end the file.
+size_t SignatureSectionStart(const RlcIndex& index, size_t file_size) {
+  const size_t tail = (2 * size_t{index.num_vertices()} + 1 + 6) * 8;
+  return file_size - tail;
 }
 
 TEST(IndexIoTest, RoundTripFig2) {
@@ -72,26 +99,6 @@ TEST(IndexIoTest, RoundTripRandomGraphQueriesAgree) {
   }
 }
 
-TEST(IndexIoTest, LegacyV1RoundTrip) {
-  // Indexes persisted by the old per-entry format must still load, and must
-  // load into the same (sealed) state as a v2 load.
-  const DiGraph g = BuildFig2Graph();
-  const RlcIndex index = BuildRlcIndex(g, 2);
-
-  std::stringstream v1(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v1, /*version=*/1);
-  std::stringstream v2(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v2, /*version=*/2);
-  EXPECT_NE(v1.str(), v2.str());
-
-  const RlcIndex from_v1 = ReadIndex(v1);
-  const RlcIndex from_v2 = ReadIndex(v2);
-  EXPECT_TRUE(from_v1.sealed());
-  EXPECT_TRUE(from_v2.sealed());
-  ExpectSameIndex(from_v1, from_v2);
-  ExpectSameIndex(index, from_v1);
-}
-
 TEST(IndexIoTest, UnsealedIndexWritesIdenticalBytes) {
   // The serialized form must not depend on whether Seal() ran.
   Rng rng(17);
@@ -116,104 +123,66 @@ TEST(IndexIoTest, UnsealedIndexWritesIdenticalBytes) {
   EXPECT_EQ(unsealed_bytes.str(), sealed_bytes.str());
 }
 
-TEST(IndexIoTest, CorruptV2EntriesRejected) {
+TEST(IndexIoTest, CorruptCsrEntriesRejected) {
   const DiGraph g = BuildFig2Graph();
   const RlcIndex index = BuildRlcIndex(g, 2);
+  uint64_t in_entries = 0;
+  for (VertexId v = 0; v < index.num_vertices(); ++v) {
+    in_entries += index.Lin(v).size();
+  }
+  ASSERT_GT(in_entries, 0u);
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, buf, /*version=*/2);  // in v2 the file ends on an entry
+  WriteIndex(index, buf);
   std::string bytes = buf.str();
-  // Smash the last IndexEntry's mr id to an out-of-range value.
-  ASSERT_GE(bytes.size(), 8u);
-  for (size_t i = bytes.size() - 4; i < bytes.size(); ++i) {
+  // The in-CSR entry buffer ends where the signatures start; smash the last
+  // IndexEntry's mr id to an out-of-range value.
+  const size_t csr_end = SignatureSectionStart(index, bytes.size());
+  for (size_t i = csr_end - 4; i < csr_end; ++i) {
     bytes[i] = static_cast<char>(0xFF);
   }
-  std::stringstream corrupt(bytes, std::ios::in | std::ios::binary);
-  EXPECT_THROW(ReadIndex(corrupt), std::runtime_error);
+  ExpectLoadFailsIn(bytes, "in csr", "smashed mr id");
 }
 
-TEST(IndexIoTest, V3RoundTripResaveIsByteIdentical) {
-  // v3 persists the vertex signatures; a load-then-save cycle must
-  // reproduce the file byte for byte (the adopted signatures equal the ones
-  // a rebuild would produce).
+TEST(IndexIoTest, RoundTripResaveIsByteIdentical) {
+  // The file persists the vertex signatures; a load-then-save cycle must
+  // reproduce it byte for byte (the adopted signatures equal the ones a
+  // build computes).
   Rng rng(23);
   auto edges = ErdosRenyiEdges(150, 600, rng);
   AssignZipfLabels(&edges, 5, 2.0, rng);
   const DiGraph g(150, std::move(edges), 5);
   const RlcIndex index = BuildRlcIndex(g, 2);
 
-  std::stringstream v3(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v3, /*version=*/3);
-  const RlcIndex loaded = ReadIndex(v3);
+  std::stringstream first(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(index, first);
+  const RlcIndex loaded = ReadIndex(first);
   ExpectSameIndex(index, loaded);
 
   std::stringstream resaved(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(loaded, resaved, /*version=*/3);
-  EXPECT_EQ(v3.str(), resaved.str());
+  WriteIndex(loaded, resaved);
+  EXPECT_EQ(first.str(), resaved.str());
 }
 
-TEST(IndexIoTest, V2LoadRebuildsSignatures) {
-  // A legacy v2 file carries no signatures; the load must rebuild them so
-  // that re-saving as v3 is byte-identical to a direct v3 save.
-  Rng rng(29);
-  auto edges = ErdosRenyiEdges(120, 500, rng);
-  AssignZipfLabels(&edges, 4, 2.0, rng);
-  const DiGraph g(120, std::move(edges), 4);
-  const RlcIndex index = BuildRlcIndex(g, 2);
-
-  std::stringstream v2(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v2, /*version=*/2);
-  const RlcIndex from_v2 = ReadIndex(v2);
-  ExpectSameIndex(index, from_v2);
-
-  std::stringstream direct_v3(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, direct_v3, /*version=*/3);
-  std::stringstream resaved_v3(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(from_v2, resaved_v3, /*version=*/3);
-  EXPECT_EQ(direct_v3.str(), resaved_v3.str());
-}
-
-TEST(IndexIoTest, V1LoadRebuildsSignaturesToo) {
-  const DiGraph g = BuildFig2Graph();
-  const RlcIndex index = BuildRlcIndex(g, 2);
-  std::stringstream v1(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v1, /*version=*/1);
-  const RlcIndex from_v1 = ReadIndex(v1);
-  std::stringstream direct_v3(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, direct_v3, /*version=*/3);
-  std::stringstream resaved_v3(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(from_v1, resaved_v3, /*version=*/3);
-  EXPECT_EQ(direct_v3.str(), resaved_v3.str());
-}
-
-TEST(IndexIoTest, CorruptV3SignaturesRejected) {
+TEST(IndexIoTest, CorruptSignaturesRejected) {
   // Unlike entries (range-checked) a flipped signature bit would silently
-  // change answers, so the v3 checksum must reject it at load time.
+  // change answers, so the signature checksum must reject it at load time.
   const DiGraph g = BuildFig2Graph();
   const RlcIndex index = BuildRlcIndex(g, 2);
-  std::stringstream v2(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v2, /*version=*/2);
-  std::stringstream v3(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v3, /*version=*/3);
-  std::string bytes = v3.str();
-  // Flip one bit inside the signature section (it starts where v2 ends).
-  bytes[v2.str().size() + 3] ^= 0x10;
-  std::stringstream corrupt(bytes, std::ios::in | std::ios::binary);
-  EXPECT_THROW(ReadIndex(corrupt), std::runtime_error);
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(index, buf);
+  std::string bytes = buf.str();
+  bytes[SignatureSectionStart(index, bytes.size()) + 3] ^= 0x10;
+  ExpectLoadFailsIn(bytes, "signatures", "flipped signature bit");
 }
 
-TEST(IndexIoTest, TruncatedV3SignatureBlockRejected) {
+TEST(IndexIoTest, TruncatedSignatureBlockRejected) {
   const DiGraph g = BuildFig2Graph();
   const RlcIndex index = BuildRlcIndex(g, 2);
-  std::stringstream full_v2(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, full_v2, /*version=*/2);
-  std::stringstream full_v3(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, full_v3, /*version=*/3);
-  const std::string v3 = full_v3.str();
-  ASSERT_GT(v3.size(), full_v2.str().size());
-  // Cut inside the signature section (v3 bytes beyond the v2 body length).
-  const size_t cut = full_v2.str().size() + 5;
-  std::stringstream trunc(v3.substr(0, cut), std::ios::in | std::ios::binary);
-  EXPECT_THROW(ReadIndex(trunc), std::runtime_error);
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(index, buf);
+  const std::string bytes = buf.str();
+  const size_t cut = SignatureSectionStart(index, bytes.size()) + 5;
+  ExpectLoadFailsIn(bytes.substr(0, cut), "signatures", "cut in signatures");
 }
 
 /// A dynamically maintained index with pending (unmerged) delta entries.
@@ -232,7 +201,7 @@ std::unique_ptr<DynamicRlcIndex> DeltaedIndex(const DiGraph& g, uint32_t k,
   return dyn;
 }
 
-TEST(IndexIoTest, V4RoundTripWithPendingDeltas) {
+TEST(IndexIoTest, RoundTripWithPendingDeltas) {
   Rng rng(37);
   auto edges = ErdosRenyiEdges(90, 300, rng);
   AssignZipfLabels(&edges, 3, 2.0, rng);
@@ -241,9 +210,9 @@ TEST(IndexIoTest, V4RoundTripWithPendingDeltas) {
   const RlcIndex& index = dyn->index();
   ASSERT_GT(index.delta_entries(), 0u);
 
-  std::stringstream v4(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v4);  // default format carries the deltas
-  const RlcIndex loaded = ReadIndex(v4);
+  std::stringstream first(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(index, first);
+  const RlcIndex loaded = ReadIndex(first);
   ExpectSameIndex(index, loaded);
   EXPECT_EQ(index.delta_entries(), loaded.delta_entries());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -254,7 +223,7 @@ TEST(IndexIoTest, V4RoundTripWithPendingDeltas) {
   // Load -> resave must reproduce the file byte for byte.
   std::stringstream resaved(std::ios::in | std::ios::out | std::ios::binary);
   WriteIndex(loaded, resaved);
-  EXPECT_EQ(v4.str(), resaved.str());
+  EXPECT_EQ(first.str(), resaved.str());
 
   // Loaded and original answer identically, deltas consulted.
   for (int trial = 0; trial < 400; ++trial) {
@@ -266,7 +235,7 @@ TEST(IndexIoTest, V4RoundTripWithPendingDeltas) {
 }
 
 TEST(IndexIoTest, MergedDeltasSerializeLikeNoDeltas) {
-  // After MergeDeltas the delta sections are empty: the v4 bytes must equal
+  // After MergeDeltas the overlay sections are empty: the bytes must equal
   // those of an index that never had deltas pending... which is exactly the
   // byte layout property the static round-trip tests already rely on.
   const DiGraph g = BuildFig2Graph();
@@ -280,53 +249,33 @@ TEST(IndexIoTest, MergedDeltasSerializeLikeNoDeltas) {
   EXPECT_EQ(direct.str(), after.str());
 }
 
-TEST(IndexIoTest, OldVersionsRejectPendingDeltas) {
-  const DiGraph g = BuildFig2Graph();
-  DynamicRlcIndex dyn(g, BuildRlcIndex(g, 2),
-                      ResealPolicy{.max_delta_ratio = 1e9});
-  // Any insert that covers a new pair leaves pending deltas behind.
-  Rng rng(43);
-  while (dyn.index().delta_entries() == 0) {
-    const auto u = static_cast<VertexId>(rng.Below(g.num_vertices()));
-    const auto v = static_cast<VertexId>(rng.Below(g.num_vertices()));
-    const auto l = static_cast<Label>(rng.Below(g.num_labels()));
-    if (!dyn.HasEdge(u, l, v)) dyn.InsertEdge(u, l, v);
-  }
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  for (const uint32_t version : {1u, 2u, 3u}) {
-    EXPECT_THROW(WriteIndex(dyn.index(), buf, version), std::invalid_argument)
-        << "version " << version;
-  }
-}
-
-TEST(IndexIoTest, CorruptV4DeltaSectionRejected) {
+TEST(IndexIoTest, CorruptDeltaSectionRejected) {
   Rng rng(47);
   auto edges = ErdosRenyiEdges(70, 240, rng);
   AssignZipfLabels(&edges, 3, 2.0, rng);
   const DiGraph g(70, std::move(edges), 3);
   const auto dyn = DeltaedIndex(g, 2, 53);
 
-  std::stringstream v4(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(dyn->index(), v4, /*version=*/4);
-  const std::string bytes = v4.str();
+  ASSERT_EQ(dyn->index().tombstone_entries(), 0u);
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(dyn->index(), buf);
+  const std::string bytes = buf.str();
 
-  // Bit-flip inside the delta section (it ends the v4 file: last u64 is the
-  // section checksum, entries precede it). Both a flipped entry word and a
-  // flipped checksum must fail the load.
+  // The delta section ends where the empty tombstone section (3 words)
+  // starts: its last u64 is the section checksum, entries precede it. Both
+  // a flipped entry word and a flipped checksum must fail the load there.
+  const size_t delta_end = bytes.size() - 3 * 8;
   for (const size_t back_off : {9u, 3u}) {
     std::string corrupt = bytes;
-    corrupt[corrupt.size() - back_off] ^= 0x04;
-    std::stringstream in(corrupt, std::ios::in | std::ios::binary);
-    EXPECT_THROW(ReadIndex(in), std::runtime_error)
-        << "flip at size-" << back_off;
+    corrupt[delta_end - back_off] ^= 0x04;
+    ExpectLoadFailsIn(corrupt, "delta",
+                      "flip at end-" + std::to_string(back_off));
   }
 
   // Truncation inside the delta section.
   for (const size_t cut_back : {1u, 8u, 17u}) {
-    std::stringstream trunc(bytes.substr(0, bytes.size() - cut_back),
-                            std::ios::in | std::ios::binary);
-    EXPECT_THROW(ReadIndex(trunc), std::runtime_error)
-        << "cut " << cut_back << " bytes";
+    ExpectLoadFailsIn(bytes.substr(0, delta_end - cut_back), "delta",
+                      "cut " + std::to_string(cut_back) + " bytes");
   }
 }
 
@@ -353,7 +302,7 @@ std::unique_ptr<DynamicRlcIndex> TombstonedIndex(const DiGraph& g, uint32_t k,
   return dyn;
 }
 
-TEST(IndexIoTest, V5RoundTripWithTombstones) {
+TEST(IndexIoTest, RoundTripWithTombstones) {
   Rng rng(59);
   auto edges = ErdosRenyiEdges(90, 340, rng);
   AssignZipfLabels(&edges, 3, 2.0, rng);
@@ -363,9 +312,9 @@ TEST(IndexIoTest, V5RoundTripWithTombstones) {
   ASSERT_GT(index.tombstone_entries(), 0u);
   ASSERT_GT(index.delta_entries(), 0u);
 
-  std::stringstream v5(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v5);  // default format carries both overlays
-  const RlcIndex loaded = ReadIndex(v5);
+  std::stringstream first(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(index, first);
+  const RlcIndex loaded = ReadIndex(first);
   ExpectSameIndex(index, loaded);
   EXPECT_EQ(index.delta_entries(), loaded.delta_entries());
   EXPECT_EQ(index.tombstone_entries(), loaded.tombstone_entries());
@@ -379,7 +328,7 @@ TEST(IndexIoTest, V5RoundTripWithTombstones) {
   // Load -> resave must reproduce the file byte for byte.
   std::stringstream resaved(std::ios::in | std::ios::out | std::ios::binary);
   WriteIndex(loaded, resaved);
-  EXPECT_EQ(v5.str(), resaved.str());
+  EXPECT_EQ(first.str(), resaved.str());
 
   // Loaded and original answer identically, tombstones consulted.
   for (int trial = 0; trial < 400; ++trial) {
@@ -390,60 +339,43 @@ TEST(IndexIoTest, V5RoundTripWithTombstones) {
   }
 }
 
-TEST(IndexIoTest, OldVersionsRejectPendingTombstones) {
-  Rng rng(67);
-  auto edges = ErdosRenyiEdges(60, 220, rng);
-  AssignZipfLabels(&edges, 3, 2.0, rng);
-  const DiGraph g(60, std::move(edges), 3);
-  const auto dyn = TombstonedIndex(g, 2, 71);
-  ASSERT_GT(dyn->index().tombstone_entries(), 0u);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  for (const uint32_t version : {1u, 2u, 3u, 4u}) {
-    EXPECT_THROW(WriteIndex(dyn->index(), buf, version), std::invalid_argument)
-        << "version " << version;
-  }
-}
-
-TEST(IndexIoTest, CorruptV5TombstoneSectionRejected) {
+TEST(IndexIoTest, CorruptTombstoneSectionRejected) {
   Rng rng(73);
   auto edges = ErdosRenyiEdges(70, 260, rng);
   AssignZipfLabels(&edges, 3, 2.0, rng);
   const DiGraph g(70, std::move(edges), 3);
   const auto dyn = TombstonedIndex(g, 2, 79);
 
-  std::stringstream v5(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(dyn->index(), v5);
-  const std::string bytes = v5.str();
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(dyn->index(), buf);
+  const std::string bytes = buf.str();
 
   // The tombstone section ends the file: last u64 is its checksum, entries
   // precede it. A flipped entry word and a flipped checksum must both fail
-  // the load.
+  // the load there.
   for (const size_t back_off : {9u, 3u}) {
     std::string corrupt = bytes;
     corrupt[corrupt.size() - back_off] ^= 0x04;
-    std::stringstream in(corrupt, std::ios::in | std::ios::binary);
-    EXPECT_THROW(ReadIndex(in), std::runtime_error)
-        << "flip at size-" << back_off;
+    ExpectLoadFailsIn(corrupt, "tombstone",
+                      "flip at size-" + std::to_string(back_off));
   }
 
   // Truncation anywhere inside the tombstone section.
   for (const size_t cut_back : {1u, 8u, 17u}) {
-    std::stringstream trunc(bytes.substr(0, bytes.size() - cut_back),
-                            std::ios::in | std::ios::binary);
-    EXPECT_THROW(ReadIndex(trunc), std::runtime_error)
-        << "cut " << cut_back << " bytes";
+    ExpectLoadFailsIn(bytes.substr(0, bytes.size() - cut_back), "tombstone",
+                      "cut " + std::to_string(cut_back) + " bytes");
   }
 }
 
 TEST(IndexIoTest, TombstoneForMissingEntryRejected) {
-  // An adversarial v5 file whose tombstone section passes the checksum but
+  // An adversarial file whose tombstone section passes the checksum but
   // references a CSR entry that does not exist: the load must fail on the
   // AddTombstone validation, not install a dangling tombstone.
   const DiGraph g = BuildFig2Graph();
   const RlcIndex index = BuildRlcIndex(g, 2);
-  std::stringstream v5(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, v5);
-  std::string bytes = v5.str();
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(index, buf);
+  std::string bytes = buf.str();
 
   // Strip the empty tombstone section (u64 count, u64 count, u64 checksum)
   // and append a crafted one claiming vertex 0 tombstones an entry with an
@@ -490,34 +422,35 @@ TEST(IndexIoTest, TombstoneForMissingEntryRejected) {
   EXPECT_THROW(ReadIndex(in), std::runtime_error);
 }
 
-TEST(IndexIoTest, AllVersionsResaveByteIdentically) {
-  // Read-compat sweep: for every still-writable version, write -> read ->
-  // resave at the same version must reproduce the bytes, and resaving any
-  // load as v5 must equal the direct v5 write (the loaded state is
-  // indistinguishable from the original for overlay-free indexes).
-  Rng rng(83);
-  auto edges = ErdosRenyiEdges(100, 380, rng);
-  AssignZipfLabels(&edges, 4, 2.0, rng);
-  const DiGraph g(100, std::move(edges), 4);
+TEST(IndexIoTest, OtherVersionHeadersRejected) {
+  // Files of the retired formats 1-4 (and any future version) fail in the
+  // header, right after the version word: the error names the version, the
+  // section and the byte offset.
+  const DiGraph g = BuildFig2Graph();
   const RlcIndex index = BuildRlcIndex(g, 2);
-
-  std::stringstream direct_v5(std::ios::in | std::ios::out | std::ios::binary);
-  WriteIndex(index, direct_v5, /*version=*/5);
-  for (const uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
-    std::stringstream first(std::ios::in | std::ios::out | std::ios::binary);
-    WriteIndex(index, first, version);
-    const RlcIndex loaded = ReadIndex(first);
-    ExpectSameIndex(index, loaded);
-
-    std::stringstream same_version(std::ios::in | std::ios::out |
-                                   std::ios::binary);
-    WriteIndex(loaded, same_version, version);
-    EXPECT_EQ(first.str(), same_version.str()) << "version " << version;
-
-    std::stringstream as_v5(std::ios::in | std::ios::out | std::ios::binary);
-    WriteIndex(loaded, as_v5, /*version=*/5);
-    EXPECT_EQ(direct_v5.str(), as_v5.str())
-        << "v" << version << " load resaved as v5";
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  WriteIndex(index, buf);
+  const std::string bytes = buf.str();
+  uint32_t written = 0;
+  std::memcpy(&written, bytes.data() + 8, sizeof(written));
+  ASSERT_EQ(written, kIndexFormatVersion);
+  for (const uint32_t version : {1u, 2u, 3u, 4u, 6u}) {
+    std::string old = bytes;
+    std::memcpy(old.data() + 8, &version, sizeof(version));
+    std::stringstream in(old, std::ios::in | std::ios::binary);
+    try {
+      (void)ReadIndex(in, "old.idx");
+      ADD_FAILURE() << "version " << version << " loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ReadIndex(old.idx): unsupported version " +
+                          std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("[section: header, byte offset 12]"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // Load-path robustness fuzz: every byte flip, truncation or garbage prefix
-// applied to a valid index file of any supported format version (v1–v5)
-// must either load successfully (the mutation missed everything that
-// matters, e.g. padding it doesn't have — in practice: almost never) or
-// throw a clean std::exception naming the source. Never UB, never a crash,
+// applied to a valid index file — sealed, with pending deltas, and with
+// deltas plus tombstones — must either load successfully (the mutation
+// missed everything that matters, e.g. padding it doesn't have — in
+// practice: almost never) or throw a clean std::exception naming the
+// source. Never UB, never a crash,
 // never an abort — the property the hardened ReadIndex section/bounds
 // checks exist for, enforced under ASan/UBSan by the sanitizer CI jobs.
 //
@@ -40,19 +41,18 @@ RlcIndex BuildSealed(const DiGraph& g, uint32_t k = 2) {
   return builder.Build();
 }
 
-/// Valid serialized images of every format version: v1–v3 from a clean
-/// sealed index (those versions refuse overlays), v4 with live delta
-/// entries, v5 with deltas and tombstones, so every section kind is in the
-/// fuzzed bytes.
-std::vector<std::pair<uint32_t, std::string>> AllVersionImages(uint64_t seed) {
+/// Valid serialized images covering every section kind: a clean sealed
+/// index (empty overlay sections), one with live delta entries, and one with
+/// deltas and tombstones.
+std::vector<std::pair<std::string, std::string>> Images(uint64_t seed) {
   const DiGraph g = TestGraph(seed);
-  std::vector<std::pair<uint32_t, std::string>> images;
-  const RlcIndex sealed = BuildSealed(g);
-  for (uint32_t version = 1; version <= 3; ++version) {
+  std::vector<std::pair<std::string, std::string>> images;
+  const auto add = [&images](const char* name, const RlcIndex& index) {
     std::ostringstream os(std::ios::binary);
-    WriteIndex(sealed, os, version);
-    images.emplace_back(version, std::move(os).str());
-  }
+    WriteIndex(index, os);
+    images.emplace_back(name, std::move(os).str());
+  };
+  add("sealed", BuildSealed(g));
 
   DynamicRlcIndex dyn(g, BuildSealed(g), ResealPolicy{.max_delta_ratio = 1e9});
   Rng rng(seed ^ 0x5A5A);
@@ -67,21 +67,13 @@ std::vector<std::pair<uint32_t, std::string>> AllVersionImages(uint64_t seed) {
       }
     }
   }
-  {
-    std::ostringstream os(std::ios::binary);
-    WriteIndex(dyn.index(), os, 4);
-    images.emplace_back(4, std::move(os).str());
-  }
+  add("deltas", dyn.index());
   // Delete base-graph edges (not the fresh delta inserts, whose deletion
-  // would just cancel) so the v5 image carries real tombstone sections.
+  // would just cancel) so the last image carries real tombstone sections.
   const std::vector<Edge> base = g.ToEdgeList();
   dyn.DeleteEdge(base[0].src, base[0].label, base[0].dst);
   dyn.DeleteEdge(base[1].src, base[1].label, base[1].dst);
-  {
-    std::ostringstream os(std::ios::binary);
-    WriteIndex(dyn.index(), os, kIndexFormatVersion);
-    images.emplace_back(kIndexFormatVersion, std::move(os).str());
-  }
+  add("deltas+tombstones", dyn.index());
   return images;
 }
 
@@ -98,11 +90,12 @@ void TryLoad(const std::string& bytes) {
   }
 }
 
-void RunByteFlipFuzz(int flips_per_version, uint64_t seed) {
-  for (const auto& [version, bytes] : AllVersionImages(seed)) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    Rng rng(seed + version);
-    for (int trial = 0; trial < flips_per_version; ++trial) {
+void RunByteFlipFuzz(int flips_per_image, uint64_t seed) {
+  uint64_t image_seed = seed;
+  for (const auto& [name, bytes] : Images(seed)) {
+    SCOPED_TRACE(name);
+    Rng rng(++image_seed);
+    for (int trial = 0; trial < flips_per_image; ++trial) {
       std::string mutated = bytes;
       const size_t offset = rng.Below(mutated.size());
       mutated[offset] =
@@ -111,7 +104,7 @@ void RunByteFlipFuzz(int flips_per_version, uint64_t seed) {
     }
     // Multi-byte corruption: whole random words, not just single bits —
     // exercises the count/offset bounds checks with large bogus values.
-    for (int trial = 0; trial < flips_per_version / 2; ++trial) {
+    for (int trial = 0; trial < flips_per_image / 2; ++trial) {
       std::string mutated = bytes;
       const size_t offset = rng.Below(mutated.size());
       for (size_t i = offset; i < mutated.size() && i < offset + 8; ++i) {
@@ -122,24 +115,25 @@ void RunByteFlipFuzz(int flips_per_version, uint64_t seed) {
   }
 }
 
-void RunTruncationFuzz(int cuts_per_version, uint64_t seed) {
-  for (const auto& [version, bytes] : AllVersionImages(seed)) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    Rng rng(seed * 31 + version);
-    // Every short prefix length near the front (headers/counts), then
-    // random cuts across the file.
-    for (size_t cut = 0; cut < 64 && cut < bytes.size(); ++cut) {
+void RunTruncationFuzz(int cuts_per_image, uint64_t seed) {
+  uint64_t image_seed = seed * 31;
+  for (const auto& [name, bytes] : Images(seed)) {
+    SCOPED_TRACE(name);
+    Rng rng(++image_seed);
+    // Every short prefix length near the front (header, access order),
+    // then random cuts across the file.
+    for (size_t cut = 0; cut < 128 && cut < bytes.size(); ++cut) {
       TryLoad(bytes.substr(0, cut));
     }
-    for (int trial = 0; trial < cuts_per_version; ++trial) {
+    for (int trial = 0; trial < cuts_per_image; ++trial) {
       TryLoad(bytes.substr(0, rng.Below(bytes.size())));
     }
   }
 }
 
-TEST(LoadFuzzTest, ByteFlipsEveryVersion) { RunByteFlipFuzz(120, 0x10AD); }
+TEST(LoadFuzzTest, ByteFlipsEveryImage) { RunByteFlipFuzz(200, 0x10AD); }
 
-TEST(LoadFuzzTest, TruncationsEveryVersion) { RunTruncationFuzz(60, 0x70AD); }
+TEST(LoadFuzzTest, TruncationsEveryImage) { RunTruncationFuzz(100, 0x70AD); }
 
 TEST(LoadFuzzTest, GarbageAndEmptyInputs) {
   TryLoad("");
@@ -152,7 +146,7 @@ TEST(LoadFuzzTest, GarbageAndEmptyInputs) {
     TryLoad(garbage);
   }
   // Valid magic + bogus everything after it.
-  const auto images = AllVersionImages(0x600D);
+  const auto images = Images(0x600D);
   for (int trial = 0; trial < 100; ++trial) {
     std::string mutated = images.back().second.substr(0, 16);
     mutated.resize(16 + rng.Below(256));
@@ -163,9 +157,9 @@ TEST(LoadFuzzTest, GarbageAndEmptyInputs) {
   }
 }
 
-TEST(LoadFuzzTest, SweepDeepByteFlips) { RunByteFlipFuzz(1200, 0xDEEF); }
+TEST(LoadFuzzTest, SweepDeepByteFlips) { RunByteFlipFuzz(2000, 0xDEEF); }
 
-TEST(LoadFuzzTest, SweepDeepTruncations) { RunTruncationFuzz(600, 0xCAFE); }
+TEST(LoadFuzzTest, SweepDeepTruncations) { RunTruncationFuzz(1000, 0xCAFE); }
 
 }  // namespace
 }  // namespace rlc

@@ -183,11 +183,30 @@ TEST(RlcIndexTest, GallopingJoinOnSkewedLists) {
 }
 
 TEST(RlcIndexTest, AdoptSealedRoundTrip) {
+  // The same lists built through AddOut/AddIn + Seal give the signatures
+  // AdoptSealed must be handed.
+  RlcIndex built(2, 1);
+  built.SetAccessOrder({1, 0});
+  const MrId a = built.mr_table().Intern(LabelSeq{0});
+  built.AddOut(0, 1, a);
+  built.AddIn(1, 1, a);
+  built.Seal();
+
   RlcIndex index(2, 1);
   index.SetAccessOrder({1, 0});
-  const MrId a = index.mr_table().Intern(LabelSeq{0});
-  index.AdoptSealed({0, 1, 1}, {{1, a}}, {0, 0, 1}, {{1, a}});
+  ASSERT_EQ(index.mr_table().Intern(LabelSeq{0}), a);
+  const std::vector<uint64_t> out_sigs = {built.OutSignature(0),
+                                          built.OutSignature(1)};
+  const std::vector<uint64_t> in_sigs = {built.InSignature(0),
+                                         built.InSignature(1)};
+  EXPECT_THROW(index.AdoptSealed({0, 1, 1}, {{1, a}}, {0, 0, 1}, {{1, a}},
+                                 {}, {}),
+               std::invalid_argument);
+  index.AdoptSealed({0, 1, 1}, {{1, a}}, {0, 0, 1}, {{1, a}}, out_sigs,
+                    in_sigs);
   EXPECT_TRUE(index.sealed());
+  EXPECT_EQ(index.OutSignature(0), out_sigs[0]);
+  EXPECT_EQ(index.InSignature(1), in_sigs[1]);
   EXPECT_EQ(index.NumEntries(), 2u);
   EXPECT_EQ(index.Lout(0).size(), 1u);
   EXPECT_EQ(index.Lin(1).size(), 1u);
