@@ -50,9 +50,9 @@ class DeadlineGate {
 /// p + 1; in reverse, over the edge labeled seq[p - 1] that led into
 /// (v, p), back to position p - 1 (positions mod j). `queue` holds the
 /// seeds, already marked by the caller, and ends up holding every state
-/// the walk reached. `pop(v, p)` runs on each dequeued state;
-/// `arrive(w, p)` marks the state an edge reaches and says whether to
-/// enqueue it or to stop the walk.
+/// the walk reached. `pop(v, p)` runs on each dequeued state and says
+/// whether to expand it; `arrive(w, p)` marks the state an edge reaches and
+/// says whether to enqueue it or to stop the walk.
 template <bool kReverse, typename Pop, typename Arrive>
 WalkEnd WalkShard(const DynamicRlcIndex& dyn, const LabelSeq& seq,
                   std::vector<uint64_t>& queue, DeadlineGate& gate, Pop&& pop,
@@ -62,7 +62,7 @@ WalkEnd WalkShard(const DynamicRlcIndex& dyn, const LabelSeq& seq,
     if (gate.Hit()) return WalkEnd::kTimedOut;
     const VertexId v = static_cast<VertexId>(queue[head] / j);
     const uint32_t p = static_cast<uint32_t>(queue[head] % j);
-    pop(v, p);
+    if (!pop(v, p)) continue;
     const uint32_t q = kReverse ? (p + j - 1) % j : p;
     const uint32_t np = kReverse ? q : (p + 1) % j;
     const bool done = dyn.ForEachEdge(v, seq[q], kReverse, [&](VertexId w) {
@@ -327,6 +327,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   const uint32_t stamp = scratch.stamp;
   const uint32_t ss = partition_.ShardOf(s);
   const uint32_t st = partition_.ShardOf(t);
+  const ShardPlan& dst_plan = *plan.shards[st];
   const auto pid_of = [j](VertexId v, uint32_t p) {
     return static_cast<uint64_t>(v) * j + p;
   };
@@ -350,18 +351,72 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       scratch.skel_queue.push_back(npid);
     }
   };
+  // A table shard's bitsets over its boundary product states, laid out
+  // like BoundaryRow::bits.
+  const auto words_of = [j](const ShardPlan& sp) {
+    return (static_cast<size_t>(sp.num_boundary) * j + 63) / 64;
+  };
+  const auto has_bit = [](const std::vector<uint64_t>& bits, uint64_t i) {
+    return ((bits[i / 64] >> (i % 64)) & 1) != 0;
+  };
+  // The probe's covered set of table shard `sh`, cleared on first use.
+  const auto covered_of = [&](uint32_t sh) -> std::vector<uint64_t>& {
+    std::vector<uint64_t>& covered = scratch.covered[sh];
+    if (scratch.covered_stamp[sh] != stamp) {
+      scratch.covered_stamp[sh] = stamp;
+      covered.assign(words_of(*plan.shards[sh]), 0);
+    }
+    return covered;
+  };
+  // Scans `row` of table shard `sh`: ORs it into the covered set (and into
+  // `tested`, when given) and emits the cross hops of the bits it adds.
+  // With `stop`, returns true as soon as a word of the row meets it.
+  const auto scan_row = [&](uint32_t sh, const BoundaryRow& row,
+                            const std::vector<uint64_t>* stop,
+                            std::vector<uint64_t>* tested) {
+    std::vector<uint64_t>& covered = covered_of(sh);
+    const ShardInfo& shard = partition_.shard(sh);
+    for (size_t w = 0; w < row.bits.size(); ++w) {
+      if (stop != nullptr && (row.bits[w] & (*stop)[w]) != 0) return true;
+      if (tested != nullptr) (*tested)[w] |= row.bits[w];
+      uint64_t fresh = row.bits[w] & ~covered[w];
+      covered[w] |= fresh;
+      while (fresh != 0) {
+        const uint32_t bit =
+            static_cast<uint32_t>(w * 64) + std::countr_zero(fresh);
+        fresh &= fresh - 1;
+        emit_cross(partition_.GlobalOf(sh, shard.boundary[bit / j]), bit % j);
+      }
+    }
+    return false;
+  };
   // Forward walk of shard `sh` from its local state (lv, p), which the
   // caller has marked: marks global states in `stamps` and emits the cross
-  // hops of every state it pops. An edge arriving at (intra_target, 0)
-  // stops it (kInvalidVertex: never).
+  // hops of every state it expands. An edge arriving at (intra_target, 0)
+  // stops it (kInvalidVertex: never). With `at_rows` (a table shard), a
+  // boundary state that a row the probe scanned covers is not expanded,
+  // and neither is one whose row is already built: the walk scans that
+  // row, which holds every boundary state the state intra-reaches. The
+  // walk builds no row; a boundary state without one is expanded.
   const auto walk_forward = [&](uint32_t sh, VertexId lv, uint32_t p,
                                 std::vector<uint32_t>& stamps,
-                                VertexId intra_target) {
+                                VertexId intra_target, bool at_rows) {
     scratch.walk_queue.assign(1, pid_of(lv, p));
     const WalkEnd end = WalkShard</*kReverse=*/false>(
         *shards_[sh], plan.seq, scratch.walk_queue, gate,
         [&](VertexId lu, uint32_t q) {
+          const ShardPlan& sp = *plan.shards[sh];
+          const int32_t ord = at_rows ? (*sp.boundary_ord)[lu] : -1;
+          if (ord >= 0) {
+            const uint32_t row_idx = static_cast<uint32_t>(ord) * j + q;
+            if (has_bit(covered_of(sh), row_idx)) return false;
+            if (const BoundaryRow* row = sp.Row(row_idx)) {
+              scan_row(sh, *row, nullptr, nullptr);
+              return false;
+            }
+          }
           emit_cross(partition_.GlobalOf(sh, lu), q);
+          return true;
         },
         [&](VertexId lw, uint32_t np) {
           if (np == 0 && lw == intra_target) return Arrival::kStop;
@@ -372,15 +427,18 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   };
 
   // Phase 1 — source-shard suffix: forward walk from (s, 0) inside
-  // shard(s); cross edges leaving any visited state seed the skeleton.
-  // With need_intra, an edge arriving at (t, 0) is a purely intra-shard
-  // witness. Arrival, never the seed itself, enforces the >= 1-edge
-  // requirement, so s == t demands a genuine aligned cycle.
+  // shard(s); cross edges leaving any reached state seed the skeleton. In a
+  // table shard the walk stops at boundary states with built rows and
+  // scans those rows, except with need_intra: an edge arriving at (t, 0)
+  // is then a purely intra-shard witness, which only a full walk finds.
+  // Arrival, never the seed itself, enforces the >= 1-edge requirement, so
+  // s == t demands a genuine aligned cycle.
   scratch.skel_queue.clear();
   scratch.fwd_stamp[pid_of(s, 0)] = stamp;
   const WalkEnd fwd = walk_forward(
       ss, partition_.LocalOf(s), 0, scratch.fwd_stamp,
-      need_intra && ss == st ? partition_.LocalOf(t) : kInvalidVertex);
+      need_intra && ss == st ? partition_.LocalOf(t) : kInvalidVertex,
+      plan.shards[ss]->tables && !need_intra);
   if (fwd != WalkEnd::kDone) {
     result.reachable = fwd == WalkEnd::kStopped;
     result.timed_out = fwd == WalkEnd::kTimedOut;
@@ -389,12 +447,26 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   if (scratch.skel_queue.empty()) return result;
 
   // Phase 2 — target-shard prefix: reverse walk from (t, 0) inside
-  // shard(t) marks the accept set A (states that intra-reach (t, 0)).
+  // shard(t) marks states that intra-reach (t, 0). Over budget it marks
+  // all of them, the accept set A. In a table shard it stops at boundary
+  // states and collects them into Stop: any path from an entry to (t, 0)
+  // has a last boundary state, which lies in Stop and in the entry's row.
+  if (dst_plan.tables) {
+    scratch.stop.assign(words_of(dst_plan), 0);
+    if (ss == st) scratch.tested.assign(words_of(dst_plan), 0);
+  }
   scratch.acc_stamp[pid_of(t, 0)] = stamp;
   scratch.walk_queue.assign(1, pid_of(partition_.LocalOf(t), 0));
   const WalkEnd acc = WalkShard</*kReverse=*/true>(
       *shards_[st], plan.seq, scratch.walk_queue, gate,
-      [](VertexId, uint32_t) {},
+      [&](VertexId lv, uint32_t q) {
+        if (!dst_plan.tables) return true;
+        const int32_t ord = (*dst_plan.boundary_ord)[lv];
+        if (ord < 0) return true;
+        const uint64_t bit = static_cast<uint64_t>(ord) * j + q;
+        scratch.stop[bit / 64] |= uint64_t{1} << (bit % 64);
+        return false;
+      },
       [&](VertexId lw, uint32_t q) {
         return Mark(scratch.acc_stamp, pid_of(partition_.GlobalOf(st, lw), q),
                     stamp);
@@ -405,7 +477,9 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     return result;
   }
 
-  // Phase 3 — skeleton BFS. Entries are checked against A at pop time;
+  // Phase 3 — skeleton BFS. An entry into shard(t) accepts at pop time if
+  // phase 2 marked it (over budget: it lies in A; in a table shard: it
+  // lies in Stop) or, in a table shard, if its row meets Stop. Over budget
   // that is complete because A is intra-closed: any state an expansion
   // marks inside shard(t) that lies in A puts its own entry in A, and that
   // entry's pop already answered true (so exp-stamp dedup of later entries
@@ -431,27 +505,19 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       // vertex with a valid ordinal.
       const int32_t ord = (*sp.boundary_ord)[partition_.LocalOf(v)];
       const uint32_t row_idx = static_cast<uint32_t>(ord) * j + p;
-      std::vector<uint64_t>& covered = scratch.covered[sv];
-      if (scratch.covered_stamp[sv] != stamp) {
-        scratch.covered_stamp[sv] = stamp;
-        covered.assign(
-            (static_cast<uint64_t>(sp.num_boundary) * j + 63) / 64, 0);
-      }
       // A covered entry lies in a scanned row, so its own row is a subset
-      // of that row and every exit it holds was already emitted.
-      if ((covered[row_idx / 64] >> (row_idx % 64)) & 1) continue;
-      const BoundaryRow* row = GetRow(sp, sv, row_idx, plan, result);
-      const ShardInfo& shard = partition_.shard(sv);
-      for (size_t w = 0; w < row->bits.size(); ++w) {
-        uint64_t fresh = row->bits[w] & ~covered[w];
-        covered[w] |= fresh;
-        while (fresh != 0) {
-          const uint32_t bit =
-              static_cast<uint32_t>(w * 64) + std::countr_zero(fresh);
-          fresh &= fresh - 1;
-          emit_cross(partition_.GlobalOf(sv, shard.boundary[bit / j]),
-                     bit % j);
-        }
+      // of that row and every exit it holds was already emitted. A
+      // shard(t) entry also needs its Stop test, which only a tested row
+      // settles: when shard(s) is shard(t), phase-1 rows cover entries
+      // that may still head a cross path into t, so the skip reads
+      // `tested`, the rows of shard(t) entries this loop scanned.
+      const bool trap = sv == st && ss == st;
+      if (has_bit(trap ? scratch.tested : covered_of(sv), row_idx)) continue;
+      if (scan_row(sv, *GetRow(sp, sv, row_idx, plan, result),
+                   sv == st ? &scratch.stop : nullptr,
+                   trap ? &scratch.tested : nullptr)) {
+        result.reachable = true;
+        return result;
       }
     } else {
       // Over-budget shard: expand the product graph on the fly. exp_stamp
@@ -459,7 +525,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       // entry itself was marked when its cross hop was emitted), so the
       // shard's product graph is walked at most once per probe.
       if (walk_forward(sv, partition_.LocalOf(v), p, scratch.exp_stamp,
-                       kInvalidVertex) == WalkEnd::kTimedOut) {
+                       kInvalidVertex, false) == WalkEnd::kTimedOut) {
         result.timed_out = true;
         return result;
       }

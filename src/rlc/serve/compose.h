@@ -12,16 +12,30 @@
 //      position demands — the skeleton seeds. Seeding with cross-edge
 //      *successors* enforces the >= 1-cross-edge requirement, which keeps
 //      composition disjoint from the shard-index intra tier: a purely
-//      intra-shard witness is exactly the shard index's job. A degraded
+//      intra-shard witness is exactly the shard index's job. When shard(s)
+//      has transition tables (below), the walk does not expand a boundary
+//      state whose row is already built: it scans the row instead — every
+//      boundary state the state intra-reaches, itself included — and emits
+//      the cross hops of the row's bits. Only boundary states carry cross
+//      edges, so that finds the same seeds. Phase 1 builds no row (a
+//      boundary state without one is expanded like an interior state): a
+//      build for every boundary state the walk meets makes rows for states
+//      no skeleton enters, which grew the row cache far more than it saved
+//      walk work (src/rlc/serve/README.md has the numbers). A degraded
 //      probe, whose shard index is unavailable, asks for intra witnesses
-//      too (`need_intra`): the same walk then also accepts when an edge
-//      arrives at (t, 0), so the probe walks its shard once.
+//      too (`need_intra`): the walk is then always full and also accepts
+//      when an edge arrives at (t, 0), so the probe walks its shard once.
 //   2. target-shard prefix: a reverse product walk from (t, 0) inside
-//      shard(t) precomputes the accept set A — every product state that
-//      intra-reaches (t, 0). A skeleton entry into shard(t) answers true
-//      iff it lands in A. Membership is intra-closed, so checking entries
-//      on arrival is complete: an interior state of A reachable from an
-//      entry puts the entry itself in A.
+//      shard(t). Over the table budget it marks the accept set A — every
+//      product state that intra-reaches (t, 0) — and a skeleton entry into
+//      shard(t) answers true iff it lands in A. Membership is
+//      intra-closed, so checking entries on arrival is complete: an
+//      interior state of A reachable from an entry puts the entry itself
+//      in A. With tables the walk stops at boundary states and collects
+//      them into the per-probe set Stop; an entry answers true iff its own
+//      bit is in Stop or its row meets Stop (tested word-parallel while the
+//      row is scanned). Any path from an entry to (t, 0) has a last
+//      boundary state, which lies in Stop and in the entry's row.
 //   3. skeleton hops: a BFS over boundary product states alternates
 //      intra-shard closure with label-matched cross-edge hops. Closure
 //      inside a shard comes from its per-(shard, constraint) boundary
@@ -44,13 +58,24 @@
 //      it. An entry whose own bit is already covered is skipped without
 //      reading its row: the row that covered it starts at a state that
 //      intra-reaches the entry, so it already holds the entry's whole row.
+//      Rows phase 1 scans join the covered set of shard(s) as well. The
+//      trap is shard(s) == shard(t): a phase-1 row can cover an entry that
+//      heads a genuine cross path into t, and its Stop test was never run
+//      (phase 1 must not accept an intra-only path). So a shard(t) entry
+//      is skipped only when a row of an entry already tested against Stop
+//      covers it — a subset of a row that misses Stop misses it too.
+//
+// Which walks stay full: over-budget shards walk their product graphs
+// state by state in every phase, and so does phase 1 with need_intra.
 //
 // The three per-probe intra-shard traversals — the source-shard suffix,
 // the reverse target-shard prefix and on-the-fly expansion — are one
 // walker (WalkShard in compose.cc), templated on direction, with the
-// caller's visited mark and pop callback. It and the row-build DFS read
-// edges through DynamicRlcIndex::ForEachEdge, so the mutated-graph filter
-// lives in one place.
+// caller's visited mark and a pop callback that also says whether to
+// expand the popped state (a table shard's end walk does not expand
+// boundary states). It and the row-build DFS read edges through
+// DynamicRlcIndex::ForEachEdge, so the mutated-graph filter lives in one
+// place.
 //
 // Correctness does not depend on any shard index: every traversal walks
 // the live mutated graph (shard subgraphs + DynamicRlcIndex overlays +
@@ -103,9 +128,10 @@ struct ComposeOptions {
 };
 
 /// Telemetry of one composed probe (the caller folds these into its
-/// metrics registry). Hops and expansions are independent of thread
-/// count; row-build counts are not, since a build also finishes the rows
-/// a concurrent probe would otherwise have built.
+/// metrics registry). All of it depends on which rows are already built,
+/// so under concurrent probes it varies with thread timing: a build also
+/// finishes the rows a concurrent probe would otherwise have built, and
+/// phase 1 scans a row only once it is built.
 struct ComposeResult {
   bool reachable = false;
   /// The deadline expired mid-traversal: `reachable` is meaningless, the
@@ -116,7 +142,10 @@ struct ComposeResult {
   uint32_t skeleton_hops = 0;  ///< skeleton entries popped
   /// Product states the probe's own walks reached: the source-shard
   /// suffix, the target-shard prefix and on-the-fly expansion of
-  /// over-budget shards (row builds are not counted here). A walk cut
+  /// over-budget shards. In a table shard the end walks count the boundary
+  /// states they stop at, not the rows those states stand for: the rows
+  /// the probe reads count in table_rows_built and row_states when they
+  /// are built (phase 1 reads only built ones), never here. A walk cut
   /// short — by the deadline or, with need_intra, by an intra witness —
   /// counts its partial queue.
   uint32_t expanded = 0;
@@ -195,8 +224,14 @@ class CompositionEngine {
     /// row of its own.
     std::vector<std::vector<uint64_t>> covered;
     /// Per shard: the probe stamp `covered` was last cleared for (cleared
-    /// lazily, on the probe's first table hop into the shard).
+    /// lazily, on the probe's first row scan in the shard).
     std::vector<uint32_t> covered_stamp;
+    /// Table shard(t) only, laid out like BoundaryRow::bits: `stop` holds
+    /// the boundary states phase 2 reached, and `tested` (shard(s) ==
+    /// shard(t) only) the union of the rows of shard(t) entries already
+    /// tested against `stop`.
+    std::vector<uint64_t> stop;
+    std::vector<uint64_t> tested;
     uint32_t stamp = 0;
     /// Queue of the probe's current intra walk (one runs at a time).
     std::vector<uint64_t> walk_queue;

@@ -699,12 +699,15 @@ TEST(ConcurrentRowBuildTest, ColdPlanAnswersMatchSingleThread) {
 // the whole graph — intra, cross-shard and mutated-overlay witnesses alike.
 
 /// kRange over 10 vertices and 2 shards: {0..4} | {5..9}. Inside shard 1,
-/// 5 -a-> 6 is an intra witness and 7 -a-> 8 -b-> 7 an aligned cycle under
-/// (a b)+ only; 5 ⇝ 8 under a+ leaves shard 1 (6 -> 0 -> 1 -> 7) and comes
-/// back.
+/// 5 -a-> 6 is an intra witness, 5 -a-> 6 -a-> 9 one through the boundary
+/// vertex 6 (where a table walk without need_intra scans 6's row once it is
+/// built, instead of walking on), and
+/// 7 -a-> 8 -b-> 7 an aligned cycle under (a b)+ only; 5 ⇝ 8 under a+
+/// leaves shard 1 (6 -> 0 -> 1 -> 7) and comes back.
 std::vector<Edge> IntraWitnessEdges() {
   const Label a = 0, b = 1;
-  return {{5, 6, a}, {6, 0, a}, {0, 1, a}, {1, 7, a}, {7, 8, a}, {8, 7, b}};
+  return {{5, 6, a}, {6, 9, a}, {6, 0, a}, {0, 1, a},
+          {1, 7, a}, {7, 8, a}, {8, 7, b}};
 }
 
 TEST(IntraWitnessTest, NeedIntraMatchesWholeGraphOracle) {
@@ -742,6 +745,8 @@ TEST(IntraWitnessTest, NeedIntraMatchesWholeGraphOracle) {
   // cross edge.
   EXPECT_TRUE(probe(5, 6, a, true));
   EXPECT_FALSE(probe(5, 6, a, false));
+  EXPECT_TRUE(probe(5, 9, a, true));
+  EXPECT_FALSE(probe(5, 9, a, false));
   // s == t: the seed (s, 0) never counts; an aligned cycle does.
   EXPECT_FALSE(probe(5, 5, a, true));
   EXPECT_FALSE(probe(7, 7, a, true));
@@ -770,6 +775,141 @@ TEST(IntraWitnessTest, NeedIntraMatchesWholeGraphOracle) {
   expect_oracle("after insert");
   EXPECT_TRUE(probe(7, 8, a, true));
   EXPECT_TRUE(probe(5, 8, a, false));
+}
+
+// ---------------------------------------------------------------------------
+// End walks in table shards stop at boundary states: phase 1 at those
+// whose rows are built, scanning the rows, and phase 2 at all of them,
+// collecting them into Stop. When shard(s) is shard(t), a
+// phase-1 row covers shard(t) entries that may still head a genuine cross
+// path into t, so that coverage must never skip an entry's Stop test.
+
+/// Composes (s, t) under a+ on a kRange graph over 8 vertices and 2 shards,
+/// {0..3} | {4..7}, without need_intra: only witnesses with a cross edge.
+/// Phase 1 scans only rows that are already built, so the probe runs cold
+/// and again after all-pairs probes have built every row a skeleton
+/// reaches; both answers must agree.
+bool ComposeA(const std::vector<Edge>& edges, VertexId s, VertexId t,
+              uint32_t table_budget) {
+  const EngineParts parts =
+      MakeParts(DiGraph(8, edges, 1), 2, PartitionPolicy::kRange);
+  EXPECT_EQ(parts.partition.ShardOf(3), 0u);
+  EXPECT_EQ(parts.partition.ShardOf(4), 1u);
+  ComposeOptions options;
+  options.table_budget_nodes = table_budget;
+  CompositionEngine engine(parts.partition, parts.shards, options);
+  const CompositionEngine::Plan& plan = engine.PreparePlan(LabelSeq{kA});
+  if (table_budget == ComposeOptions{}.table_budget_nodes) {
+    EXPECT_TRUE(plan.shards[0]->tables);
+  }
+  CompositionEngine::Scratch scratch;
+  const bool cold = engine.ComposedQuery(s, t, plan, scratch).reachable;
+  for (VertexId u = 0; u < 8; ++u) {
+    for (VertexId v = 0; v < 8; ++v) engine.ComposedQuery(u, v, plan, scratch);
+  }
+  const bool warm = engine.ComposedQuery(s, t, plan, scratch).reachable;
+  EXPECT_EQ(cold, warm) << "s=" << s << " t=" << t;
+  return warm;
+}
+
+TEST(SameShardTrapTest, PhaseOneRowNeverSkipsAStopTest) {
+  for (const uint32_t budget : {ComposeOptions{}.table_budget_nodes, 1u}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    // 0 -> 1 -> 2 inside shard 0, and 1 -> 4 -> 1 across. Warm, phase 1
+    // scans the row of (1, 0); the entry (1, 0) that 4 -> 1 pushes is in
+    // Stop.
+    std::vector<Edge> edges = {{0, 1, kA}, {1, 2, kA}, {1, 4, kA}, {4, 1, kA}};
+    EXPECT_TRUE(ComposeA(edges, 0, 2, budget));  // 0 -> 1 -> 4 -> 1 -> 2
+    edges.pop_back();
+    EXPECT_FALSE(ComposeA(edges, 0, 2, budget));  // only the intra path
+
+    // Through 3 instead: Stop = {(3, 0)}, and the entry (1, 0) accepts
+    // only because its row {1, 3} meets Stop.
+    edges = {{0, 1, kA}, {1, 3, kA}, {3, 2, kA}, {3, 5, kA},
+             {1, 4, kA}, {4, 1, kA}};
+    EXPECT_TRUE(ComposeA(edges, 0, 2, budget));  // 0 -> 1 -> 4 -> 1 -> 3 -> 2
+    edges.pop_back();
+    EXPECT_FALSE(ComposeA(edges, 0, 2, budget));
+  }
+}
+
+/// Service answers on table shards, for every endpoint category: source
+/// and target each a boundary or an interior vertex, in one shard or in
+/// two. Scalar Query, batched Execute and ComposedQuery with need_intra
+/// (through an engine over the same partition) must each equal the
+/// whole-graph oracle.
+TEST(TableEndWalkTest, EveryEndpointCategoryMatchesOracle) {
+  const DiGraph g = CommunityGraph(160, 720, 3, 0xD7);
+  const RlcIndex oracle = BuildSealed(g, 2);
+  ServiceOptions options;
+  options.partition.num_shards = 4;
+  options.partition.policy = PartitionPolicy::kRangeOrdered;
+  options.indexer.k = 2;
+  options.build_threads = 2;
+  ShardedRlcService service(g, options);
+  const EngineParts parts = MakeParts(g, 4, PartitionPolicy::kRangeOrdered);
+  CompositionEngine engine(parts.partition, parts.shards);
+  CompositionEngine::Scratch scratch;
+
+  // Vertices by (boundary, shard); both partitions must agree.
+  std::vector<VertexId> by_cat[2][4];
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(service.partition().ShardOf(v), parts.partition.ShardOf(v));
+    ASSERT_EQ(service.partition().IsBoundary(v), parts.partition.IsBoundary(v));
+    by_cat[parts.partition.IsBoundary(v)][parts.partition.ShardOf(v)]
+        .push_back(v);
+  }
+  Rng rng(0xD7);
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (const int sb : {0, 1}) {
+    for (const int tb : {0, 1}) {
+      for (const bool same : {true, false}) {
+        for (int i = 0; i < 16; ++i) {
+          const uint32_t ss = static_cast<uint32_t>(rng.Below(4));
+          const uint32_t st =
+              same ? ss : (ss + 1 + static_cast<uint32_t>(rng.Below(3))) % 4;
+          const auto& from = by_cat[sb][ss];
+          const auto& to = by_cat[tb][st];
+          ASSERT_FALSE(from.empty() || to.empty())
+              << "category (" << sb << ", " << tb << ") is empty in a shard";
+          pairs.emplace_back(from[rng.Below(from.size())],
+                             to[rng.Below(to.size())]);
+        }
+      }
+    }
+  }
+
+  QueryBatch batch;
+  std::vector<uint8_t> expected;
+  uint64_t rows_read = 0, composed_true = 0;
+  for (const LabelSeq& seq : {LabelSeq{Label{0}}, LabelSeq{Label{1}},
+                              LabelSeq{Label{0}, Label{1}},
+                              LabelSeq{Label{0}, Label{2}}}) {
+    const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
+    for (const auto& sp : plan.shards) ASSERT_TRUE(sp->tables);
+    const uint32_t seq_id = batch.InternSequence(seq);
+    for (const auto& [s, t] : pairs) {
+      const bool want = oracle.Query(s, t, seq);
+      ASSERT_EQ(want, service.Query(s, t, seq))
+          << "s=" << s << " t=" << t << " L=" << seq.ToString();
+      const ComposeResult r =
+          engine.ComposedQuery(s, t, plan, scratch, Deadline{}, true);
+      ASSERT_EQ(want, r.reachable)
+          << "need_intra s=" << s << " t=" << t << " L=" << seq.ToString();
+      rows_read += r.table_rows_built;
+      // Without need_intra only witnesses with a cross edge count.
+      const bool composed = engine.ComposedQuery(s, t, plan, scratch).reachable;
+      ASSERT_TRUE(want || !composed) << "s=" << s << " t=" << t;
+      composed_true += composed;
+      batch.Add(s, t, seq_id);
+      expected.push_back(want ? 1 : 0);
+    }
+  }
+  const AnswerBatch answers = service.Execute(batch);
+  EXPECT_EQ(answers.answers, expected);
+  EXPECT_TRUE(answers.all_ok());
+  EXPECT_GT(rows_read, 0u);
+  EXPECT_GT(composed_true, 0u);
 }
 
 // ---------------------------------------------------------------------------
