@@ -8,7 +8,8 @@
 //   scalar_interned      index.QueryInterned per probe, MRs pre-resolved
 //   batched_index        ExecuteBatch: grouped by MR + CSR prefetch
 //   batched_index_fresh  ditto, batch re-assembled inside the timed region
-//   scalar_service       ShardedRlcService::Query per probe
+//   scalar_service       ShardedRlcService::Query per probe (a one-probe
+//                        Execute each)
 //   batched_service      ShardedRlcService::Execute
 //
 //   $ ./bench_serving [num_vertices num_edges num_probes iters shards]
@@ -150,7 +151,9 @@ int main(int argc, char** argv) {
                   "", intra_share,
                   static_cast<unsigned long long>(stats->compose_probes),
                   static_cast<unsigned long long>(stats->compose_skeleton_hops));
-      rec.Set("intra_true", stats->intra_true)
+      rec.Set("queries", stats->queries)
+          .Set("intra_true", stats->intra_true)
+          .Set("intra_miss", stats->intra_miss)
           .Set("cross_refuted", stats->cross_refuted)
           .Set("compose_probes", stats->compose_probes)
           .Set("compose_skeleton_hops", stats->compose_skeleton_hops)

@@ -30,17 +30,25 @@ With --serving (for BENCH_serving.json), additionally:
      serve.compose.row_states record exists and is >= table_builds — every
      row-build DFS visits at least its start state, so fewer states than
      builds means a build went uncounted or the counter stopped being
-     exported.
+     exported,
+ 11. tier conservation: every mode record carrying routing telemetry
+     (intra_true) has intra_true + cross_refuted + compose_probes == probes
+     (and queries == probes when it reports queries) — on the fault-free
+     throughput phases every probe ends in exactly one tier,
+ 12. one router: the scalar_service and batched_service mode records exist
+     and carry identical tier counts (queries, intra_true, intra_miss,
+     cross_refuted, compose_probes) — ShardedRlcService::Query is a
+     one-probe Execute, so the two modes cannot route a probe differently.
 
 With --compose-p95 RATIO (nightly, for BENCH_serving.json), additionally:
- 11. both {"record": "compose_p95"} policies (hash, range_ordered) exist
+ 13. both {"record": "compose_p95"} policies (hash, range_ordered) exist
      with samples, and p95(hash) <= RATIO * p95(range_ordered) — the
      composed-probe tail under the composition-heavy hash partitioning
      stays within RATIO of the locality-friendly policy at equal shard
      count.
 
 With --memory N (for BENCH_serving.json from an N-shard run), additionally:
-  12. a {"record": "memory"} summary exists whose
+  14. a {"record": "memory"} summary exists whose
       aggregate_shard_index_bytes / whole_index_bytes <= 1.3 / N — the
       sharded deployment actually divides index memory instead of
       duplicating it.
@@ -120,6 +128,36 @@ def check_serving(path: str, records: list) -> None:
             fail(f"{path}: source {source!r} has serve.compose.table_builds="
                  f"{builds} but serve.compose.row_states={states} — every "
                  "row build visits at least its start state")
+
+    # Tier conservation per mode record, and one router for both service
+    # modes.
+    tiers = ("queries", "intra_true", "intra_miss", "cross_refuted",
+             "compose_probes")
+    modes = {}
+    for rec in records:
+        if "mode" not in rec or "intra_true" not in rec:
+            continue
+        mode = rec["mode"]
+        modes[mode] = rec
+        probes = rec.get("probes")
+        ended = (rec["intra_true"] + rec.get("cross_refuted", 0)
+                 + rec.get("compose_probes", 0))
+        if ended != probes:
+            fail(f"{path}: mode {mode!r} has intra_true + cross_refuted + "
+                 f"compose_probes = {ended}, but probes = {probes!r}")
+        if "queries" in rec and rec["queries"] != probes:
+            fail(f"{path}: mode {mode!r} has queries = {rec['queries']}, "
+                 f"but probes = {probes!r}")
+    for required in ("scalar_service", "batched_service"):
+        if required not in modes:
+            fail(f"{path}: no {required!r} mode record with routing telemetry")
+    for tier in tiers:
+        scalar = modes["scalar_service"].get(tier)
+        batched = modes["batched_service"].get(tier)
+        if scalar != batched:
+            fail(f"{path}: scalar_service {tier}={scalar!r} but "
+                 f"batched_service {tier}={batched!r} — Query and Execute "
+                 "must route through one path")
 
     compose = {k: v for k, v in counters.items()
                if k.startswith("serve.compose.") and v > 0}

@@ -434,14 +434,6 @@ const ShardedRlcService::SeqEntry& ShardedRlcService::Resolve(
   const auto it = seq_cache_.find(seq);
   if (it != seq_cache_.end()) return it->second;
 
-  // Bound the memo so adversarial template churn cannot grow a long-lived
-  // serving process without limit; a flush only costs re-resolution.
-  // Execute pre-flushes instead (it holds entry pointers across inserts).
-  if (seq_cache_.size() >= kMaxCachedSequences) {
-    c_.seq_cache_flushes.Inc();
-    c_.seq_cache_evictions.Add(seq_cache_.size());
-    seq_cache_.clear();
-  }
   RlcIndex::ValidateConstraint(seq, options_.indexer.k);
   SeqEntry entry;
   entry.shard_mr.resize(partition_.num_shards());
@@ -478,115 +470,18 @@ void ShardedRlcService::BreakerOk(BreakerSlot& slot) {
   }
 }
 
-bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
-                                     const LabelSeq& seq, uint32_t source_shard,
-                                     bool need_intra) {
-  if (BreakerDecide(compose_breaker_) == CircuitBreaker::Decision::kDeny) {
-    c_.breaker_fail_fast.Inc();
-    throw UnavailableError(
-        "ShardedRlcService: compose breaker is open (fail fast)");
-  }
-  c_.compose_probes.Inc();
-  shard_compose_[source_shard]->Inc();
-  try {
-    const bool metrics_on = obs::Enabled();
-    const bool timed = metrics_on || options_.probe_budget_ns != 0;
-    // The budget clock starts before the failpoint so injected probe
-    // delays consume budget exactly like real traversal time — the chaos
-    // pin for bounded overrun depends on this ordering.
-    const uint64_t t0 = timed ? obs::NowNanos() : 0;
-    const Deadline probe_deadline =
-        Deadline::After(options_.probe_budget_ns, t0);
-    FailpointHitFast(failpoints::kServeComposeProbe);
-    uint32_t invalidated = 0;
-    const CompositionEngine::Plan& plan =
-        compose_->PreparePlan(seq, &invalidated);
-    if (invalidated > 0) c_.compose_invalidations.Add(invalidated);
-    // Degraded same-shard probes also accept purely intra-shard witnesses
-    // (need_intra): the composed walk answers them exactly on the mutated
-    // graph, without the shard index.
-    const ComposeResult r = compose_->ComposedQuery(
-        s, t, plan, compose_scratch_, probe_deadline, need_intra);
-    c_.compose_skeleton_hops.Add(r.skeleton_hops);
-    c_.compose_expanded.Add(r.expanded);
-    if (r.table_rows_built > 0) {
-      c_.compose_table_builds.Add(r.table_rows_built);
-      c_.compose_row_states.Add(r.row_states);
-    }
-    const uint64_t elapsed = timed ? obs::NowNanos() - t0 : 0;
-    if (r.timed_out) {
-      // The budget expired *inside* the traversal: the probe carries no
-      // answer (overrun bounded by one deadline-check stride). The overrun
-      // is compose-breaker failure evidence.
-      c_.compose_overruns.Inc();
-      c_.deadline_exceeded.Inc();
-      BreakerFail(compose_breaker_);
-      throw UnavailableError(
-          "ShardedRlcService: composed probe exceeded probe_budget_ns");
-    }
-    if (metrics_on) h_.compose_probe_ns.Record(elapsed);
-    if (options_.probe_budget_ns != 0 && elapsed > options_.probe_budget_ns) {
-      // Finished within one check stride of the budget: the answer is
-      // exact and kept, but the overrun is a timeout against the compose
-      // breaker — sustained slowness trips it into fail-fast instead of
-      // latency collapse.
-      c_.compose_overruns.Inc();
-      BreakerFail(compose_breaker_);
-    } else {
-      BreakerOk(compose_breaker_);
-    }
-    return r.reachable;
-  } catch (const UnavailableError&) {
-    throw;
-  } catch (const std::exception& e) {
-    BreakerFail(compose_breaker_);
-    throw UnavailableError(
-        std::string("ShardedRlcService: composed probe failed: ") + e.what());
-  }
-}
-
-bool ShardedRlcService::CrossAnswer(VertexId s, VertexId t, const LabelSeq& seq,
-                                    uint32_t ss, uint32_t st) {
-  if (RefutedByBoundary(ss, st, seq)) {
-    c_.cross_refuted.Inc();
-    return false;
-  }
-  return ComposeProbe(s, t, seq, ss, /*need_intra=*/false);
-}
-
 bool ShardedRlcService::Query(VertexId s, VertexId t,
                               const LabelSeq& constraint) {
-  RLC_REQUIRE(s < g_.num_vertices() && t < g_.num_vertices(),
-              "ShardedRlcService::Query: vertex out of range");
-  const SeqEntry& entry = Resolve(constraint);
-  c_.queries.Inc();
-  const uint32_t ss = partition_.ShardOf(s);
-  const uint32_t st = partition_.ShardOf(t);
-  if (ss == st) {
-    BreakerSlot& slot = shard_breakers_[ss];
-    if (BreakerDecide(slot) == CircuitBreaker::Decision::kDeny) {
-      // The shard is sick: answer index-free. Boundary refutation must be
-      // skipped — without a shard answer, an intra-shard witness may exist.
-      c_.breaker_degraded.Inc();
-      return ComposeProbe(s, t, constraint, ss, /*need_intra=*/true);
-    }
-    try {
-      FailpointHitFast(failpoints::kServeShardExecute);
-      const bool hit = shard_dyn_[ss]->index().QueryInterned(
-          partition_.LocalOf(s), partition_.LocalOf(t), entry.shard_mr[ss]);
-      BreakerOk(slot);
-      if (hit) {
-        c_.intra_true.Inc();
-        return true;
-      }
-      c_.intra_miss.Inc();
-    } catch (const std::exception&) {
-      BreakerFail(slot);
-      c_.breaker_degraded.Inc();
-      return ComposeProbe(s, t, constraint, ss, /*need_intra=*/true);
-    }
+  QueryBatch batch;
+  batch.Add(s, t, constraint);
+  const AnswerBatch out =
+      Execute(batch, ExecuteLimits{0, options_.probe_budget_ns,
+                                   /*shed_as_status=*/false});
+  if (out.statuses[0] != ProbeStatus::kOk) {
+    throw UnavailableError(std::string("ShardedRlcService::Query: ") +
+                           ProbeStatusName(out.statuses[0]));
   }
-  return CrossAnswer(s, t, constraint, ss, st);
+  return out.answers[0] != 0;
 }
 
 AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch) {
@@ -640,8 +535,9 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
 
   // Resolve (validate + intern-lookup) each distinct sequence once. The
   // entry pointers stay valid across the loop: references into the node-
-  // based map are insert-stable, and the memo flush is done up front here
-  // so Resolve cannot trigger it mid-loop.
+  // based map are insert-stable. The memo is bounded here, up front, so
+  // adversarial template churn cannot grow a long-lived serving process
+  // without limit (a flush only costs re-resolution).
   const std::vector<LabelSeq>& seqs = batch.sequences();
   RLC_REQUIRE(seqs.size() <= kMaxCachedSequences,
               "ShardedRlcService::Execute: batch has " << seqs.size()
@@ -754,13 +650,12 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
   std::vector<std::vector<PendingProbe>> pending(seqs.size());
   auto route_cross = [&](uint32_t probe_i) {
     const BatchProbe& p = probes[probe_i];
-    const uint32_t ss = partition_.ShardOf(p.s);
-    if (RefutedByBoundary(ss, partition_.ShardOf(p.t), seqs[p.seq_id])) {
+    if (RefutedByBoundary(partition_.ShardOf(p.s), partition_.ShardOf(p.t),
+                          seqs[p.seq_id])) {
       c_.cross_refuted.Inc();
       ++out.num_refuted;
     } else {
       pending[p.seq_id].push_back({probe_i, 0});
-      shard_compose_[ss]->Inc();
     }
   };
   // A probe without a trustworthy shard answer (breaker-open shard, failed
@@ -771,7 +666,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
   auto degrade = [&](uint32_t probe_i) {
     const BatchProbe& p = probes[probe_i];
     pending[p.seq_id].push_back({probe_i, 1});
-    shard_compose_[partition_.ShardOf(p.s)]->Inc();
     ++out.num_degraded;
   };
   // Breaker evidence, resolved once per shard after the whole batch: any
@@ -897,6 +791,9 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         invalidated_total += invalidated;
         for (const PendingProbe& pp : pending[seq_id]) {
           items.push_back({pp.idx, seq_id, pp.need_intra});
+          // Attributed here, with compose_probes: only probes the compose
+          // breaker admitted count against their source shard.
+          shard_compose_[partition_.ShardOf(probes[pp.idx].s)]->Inc();
         }
       }
       seq_pos += round;

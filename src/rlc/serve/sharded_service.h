@@ -119,11 +119,13 @@ struct ServiceOptions {
   /// none). The budget is enforced *inside* the composition traversal
   /// (deadline-checked every CompositionEngine::kDeadlineCheckStride pops),
   /// so a pathological skeleton walk overruns by at most one stride: the
-  /// probe aborts without an answer (scalar Query throws UnavailableError;
-  /// batched probes report ProbeStatus::kDeadlineExceeded), counts a
-  /// serve.compose.budget_overruns + serve.deadline_exceeded, and fails
-  /// the compose breaker. A probe that finishes just past its budget keeps
-  /// its exact answer and still counts the overrun.
+  /// probe aborts without an answer (it reports
+  /// ProbeStatus::kDeadlineExceeded, and Query throws UnavailableError),
+  /// counts a serve.compose.budget_overruns + serve.deadline_exceeded, and
+  /// fails the compose breaker (once per batch; a Query is a one-probe
+  /// batch). A probe that finishes just past its budget keeps its exact
+  /// answer and still counts the overrun. Query always runs under this
+  /// budget; Execute(batch) uses it unless ExecuteLimits overrides it.
   uint64_t probe_budget_ns = 0;
   /// Admission control: Execute rejects batches with more probes than this
   /// before running anything (0 = unlimited).
@@ -160,7 +162,8 @@ struct ExecuteLimits {
 /// compose_probes (every probe ends in exactly one of the three tiers;
 /// degraded probes are composed probes).
 struct ServiceStats {
-  uint64_t queries = 0;          ///< probes answered (scalar + batched)
+  uint64_t queries = 0;          ///< probes admitted by Execute (a Query
+                                 ///< call is one probe)
   uint64_t intra_true = 0;       ///< answered true by a shard index alone
   uint64_t intra_miss = 0;       ///< same-shard probes the shard index missed
   uint64_t cross_refuted = 0;    ///< answered false by the boundary summary
@@ -181,7 +184,8 @@ struct ServiceStats {
                                        ///< (ROADMAP Delete item 1)
   uint64_t compose_budget_boosts = 0;  ///< always 0; goes with ServiceStats
                                        ///< (ROADMAP Delete item 1)
-  uint64_t batches = 0;
+  uint64_t batches = 0;          ///< Execute calls admitted (a Query call
+                                 ///< is a one-probe batch)
   uint64_t batch_groups = 0;     ///< (shard, MR) groups executed
   uint64_t seq_cache_flushes = 0;    ///< constraint-memo capacity flushes
   uint64_t seq_cache_evictions = 0;  ///< memo entries dropped by flushes
@@ -213,21 +217,28 @@ class ShardedRlcService {
  public:
   ShardedRlcService(const DiGraph& g, ServiceOptions options);
 
-  /// Answers the RLC query (s, t, L+). Exact: equal to a whole-graph
-  /// RlcIndex::Query for every input — including when the owning shard's
-  /// breaker is open or the shard probe faults, in which case the probe is
-  /// answered index-free (intra product BFS OR composition).
+  /// Answers the RLC query (s, t, L+) as a one-probe Execute with no batch
+  /// budget and ServiceOptions::probe_budget_ns as the probe budget, so it
+  /// passes the same admission control, breakers, failpoints and counters
+  /// as every batched probe (and counts as one batch). Exact: equal to a
+  /// whole-graph RlcIndex::Query for every input — including when the
+  /// owning shard's breaker is open or the shard probe faults, in which
+  /// case the probe is answered index-free (intra product BFS OR
+  /// composition).
   /// \throws std::invalid_argument on out-of-range vertices or an invalid
   ///         constraint (empty, longer than k, or non-primitive);
-  ///         UnavailableError when the probe needs composition and the
-  ///         compose breaker is open (fail fast) or the probe faults.
+  ///         OverloadedError when admission control sheds it;
+  ///         UnavailableError, naming the status, when the probe's status
+  ///         is not kOk (kShardUnavailable: the compose breaker is open or
+  ///         the composed probe faulted; kDeadlineExceeded: the composed
+  ///         probe ran out of probe_budget_ns).
   bool Query(VertexId s, VertexId t, const LabelSeq& constraint);
 
   /// Answers every probe of `batch` (see class comment). On the fault-free
-  /// path answers are identical to calling Query per probe, in submission
-  /// order, and every status is kOk. Under faults/deadlines, each probe
-  /// with statuses[i] == kOk still carries the exact answer; other probes
-  /// report why they have none (see ProbeStatus).
+  /// path answers are identical to a whole-graph RlcIndex::Query per
+  /// probe, in submission order, and every status is kOk. Under faults or
+  /// deadlines, each probe with statuses[i] == kOk still carries the exact
+  /// answer; other probes report why they have none (see ProbeStatus).
   /// \throws std::invalid_argument like Query, plus on out-of-range
   ///         seq_ids; OverloadedError when admission control sheds the
   ///         batch (unless limits.shed_as_status).
@@ -260,9 +271,9 @@ class ShardedRlcService {
   ///         rebuild fail; the old index then stays in place.
   void ReviveShard(uint32_t shard);
 
-  /// Durable mode only: checkpoints a new snapshot generation (per-shard +
-  /// service meta + compose-cache files, WAL switch, manifest commit,
-  /// stale generation cleanup). Called automatically when the current WAL
+  /// Durable mode only: checkpoints a new snapshot generation (per-shard
+  /// and service meta snapshots, WAL switch, manifest commit, stale
+  /// generation cleanup). Called automatically when the current WAL
   /// passes DurabilityOptions::checkpoint_wal_bytes. \throws
   /// std::runtime_error on I/O failure or an injected fault — the previous
   /// generation then stays the recovery target and the service remains
@@ -300,6 +311,8 @@ class ShardedRlcService {
 
   /// Composed probes attributed to each source shard — the per-shard
   /// composition share of the routing pathology BENCH_serving tracks.
+  /// Counted where serve.compose.probes is (after the compose breaker
+  /// admits the probes), so the entries sum to stats().compose_probes.
   std::vector<uint64_t> ShardComposeCounts() const;
 
   /// Current circuit-breaker states (exported live through the
@@ -316,8 +329,9 @@ class ShardedRlcService {
   uint64_t MemoryBytes() const;
 
  private:
-  /// Bound on memoized constraint templates (see Resolve): the memo flushes
-  /// when full, so template churn cannot grow the process without limit.
+  /// Bound on memoized constraint templates: Execute flushes the memo
+  /// before a batch would overflow it, so template churn cannot grow the
+  /// process without limit.
   static constexpr size_t kMaxCachedSequences = 1 << 16;
 
   /// Per distinct constraint: every shard's MR id. Resolved and validated
@@ -338,10 +352,6 @@ class ShardedRlcService {
            !partition_.shard(st).in_cross_labels.MayContainAny(seq.labels());
   }
 
-  /// Steps 2+3 for one scalar probe (after any intra-shard miss).
-  bool CrossAnswer(VertexId s, VertexId t, const LabelSeq& seq, uint32_t ss,
-                   uint32_t st);
-
   /// One breaker plus its exported state gauge.
   struct BreakerSlot {
     CircuitBreaker breaker;
@@ -354,17 +364,6 @@ class ShardedRlcService {
   /// OnFailure/OnSuccess with transition counters + gauge updates.
   void BreakerFail(BreakerSlot& slot);
   void BreakerOk(BreakerSlot& slot);
-
-  /// One scalar composed probe, behind the compose breaker and the
-  /// serve.compose.probe failpoint. `need_intra` makes the composed walk
-  /// accept purely intra-shard witnesses too (degraded same-shard probes:
-  /// without a shard answer an intra witness may exist, and boundary
-  /// refutation must be skipped), so such a probe walks its shard once.
-  /// Exact on the mutated graph.
-  /// \throws UnavailableError when the compose breaker denies or the probe
-  ///         faults.
-  bool ComposeProbe(VertexId s, VertexId t, const LabelSeq& seq,
-                    uint32_t source_shard, bool need_intra);
 
   /// True when the edge exists in the service's current mutated graph.
   bool EdgePresent(VertexId src, Label label, VertexId dst) const;
@@ -403,7 +402,8 @@ class ShardedRlcService {
   // Cross-shard composition over the boundary skeleton (created once the
   // shard indexes exist; reads partition_ and shard_dyn_ by reference).
   std::unique_ptr<CompositionEngine> compose_;
-  // Scalar-path traversal scratch (Execute jobs carry their own).
+  // Traversal scratch for compose jobs run on the caller's thread (pool
+  // workers carry their own).
   CompositionEngine::Scratch compose_scratch_;
   // Mutation bookkeeping: overlay inserts currently present (set + ordered
   // list for deterministic rebuilds) and base edges currently deleted.

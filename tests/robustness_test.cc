@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -577,6 +578,10 @@ TEST(ServiceAdmissionTest, QueueHighWaterMarkSheds) {
   // gauge at the high-water mark and watch admission refuse new batches.
   internal::KernelQueueDepthGauge().Add(4);
   EXPECT_THROW(service.Execute(batch), OverloadedError);
+  // Query is a one-probe Execute: admission control sheds it too.
+  const BatchProbe& p = batch.probes().front();
+  EXPECT_THROW(service.Query(p.s, p.t, batch.sequence(p.seq_id)),
+               OverloadedError);
   internal::KernelQueueDepthGauge().Sub(4);
   EXPECT_NO_THROW(service.Execute(batch));
 }
@@ -646,6 +651,272 @@ TEST(ServiceBreakerTest, BreakerReclosesAfterCleanTrial) {
   for (uint32_t s = 0; s < service.partition().num_shards(); ++s) {
     EXPECT_EQ(service.shard_breaker_state(s), BreakerState::kClosed);
   }
+}
+
+// --------------------------------------- Query is a one-probe Execute
+
+/// The per-probe tier counters. Hops, expanded states and rows built are
+/// left out: Execute composes probes grouped by constraint, so transition
+/// rows build in another order than a Query loop builds them.
+std::map<std::string, uint64_t> TierCounts(const ServiceStats& s) {
+  return {{"queries", s.queries},
+          {"intra_true", s.intra_true},
+          {"intra_miss", s.intra_miss},
+          {"cross_refuted", s.cross_refuted},
+          {"compose_probes", s.compose_probes},
+          {"breaker_degraded", s.breaker_degraded},
+          {"breaker_fail_fast", s.breaker_fail_fast},
+          {"deadline_exceeded", s.deadline_exceeded},
+          {"compose_overruns", s.compose_overruns}};
+}
+
+std::map<std::string, uint64_t> TierDelta(const ServiceStats& before,
+                                          const ServiceStats& after) {
+  std::map<std::string, uint64_t> delta = TierCounts(after);
+  for (const auto& [name, value] : TierCounts(before)) delta[name] -= value;
+  return delta;
+}
+
+/// Composed probes are attributed to their source shard exactly where
+/// serve.compose.probes counts them.
+void ExpectShardComposeConservation(const ShardedRlcService& service) {
+  uint64_t sum = 0;
+  for (const uint64_t c : service.ShardComposeCounts()) sum += c;
+  EXPECT_EQ(sum, service.stats().compose_probes);
+}
+
+/// Every primitive constraint of length 1 or 2 over the graph's labels.
+std::vector<LabelSeq> AllConstraints(Label labels) {
+  std::vector<LabelSeq> seqs;
+  for (Label a = 0; a < labels; ++a) seqs.push_back(LabelSeq{a});
+  for (Label a = 0; a < labels; ++a) {
+    for (Label b = 0; b < labels; ++b) {
+      if (a != b) seqs.push_back(LabelSeq{a, b});
+    }
+  }
+  return seqs;
+}
+
+/// Mixed traffic: random probes, half of them with both endpoints in one
+/// shard (intra hits and misses, cross-shard refuted and composed probes),
+/// plus same-shard probes under a constraint their shard never recorded.
+QueryBatch MixedTraffic(const ShardedRlcService& service, const DiGraph& g,
+                        uint64_t seed) {
+  const GraphPartition& part = service.partition();
+  std::vector<std::vector<VertexId>> members(part.num_shards());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    members[part.ShardOf(v)].push_back(v);
+  }
+  const std::vector<LabelSeq> seqs = AllConstraints(g.num_labels());
+  QueryBatch batch;
+  Rng rng(seed);
+  for (int i = 0; i < 160; ++i) {
+    const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
+    const std::vector<VertexId>& home = members[part.ShardOf(s)];
+    const VertexId t =
+        i % 2 == 0 ? home[rng.Below(home.size())]
+                   : static_cast<VertexId>(rng.Below(g.num_vertices()));
+    batch.Add(s, t, seqs[rng.Below(seqs.size())]);
+  }
+  for (uint32_t shard = 0; shard < part.num_shards(); ++shard) {
+    for (const LabelSeq& seq : seqs) {
+      if (service.shard_index(shard).FindMr(seq) != kInvalidMrId) continue;
+      const std::vector<VertexId>& home = members[shard];
+      for (int i = 0; i < 8; ++i) {
+        batch.Add(home[rng.Below(home.size())], home[rng.Below(home.size())],
+                  seq);
+      }
+      return batch;
+    }
+  }
+  ADD_FAILURE() << "every shard recorded every constraint";
+  return batch;
+}
+
+/// Sends `traffic` through a Query loop on `scalar` and one Execute on
+/// `batched` (two identically built and primed services). Query must throw
+/// UnavailableError exactly where Execute reports a non-kOk status, answer
+/// equally everywhere else, and move the tier counters by the same amounts.
+/// Returns the tier-counter deltas.
+std::map<std::string, uint64_t> ExpectQueryMatchesExecute(
+    ShardedRlcService& scalar, ShardedRlcService& batched,
+    const QueryBatch& traffic) {
+  constexpr int kThrew = -1;
+  const ServiceStats scalar_before = scalar.stats();
+  std::vector<int> got;
+  for (const BatchProbe& p : traffic.probes()) {
+    try {
+      got.push_back(scalar.Query(p.s, p.t, traffic.sequence(p.seq_id)) ? 1
+                                                                       : 0);
+    } catch (const UnavailableError&) {
+      got.push_back(kThrew);
+    }
+  }
+  const ServiceStats batched_before = batched.stats();
+  const AnswerBatch out = batched.Execute(traffic);
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (out.statuses[i] != ProbeStatus::kOk) {
+      EXPECT_EQ(got[i], kThrew)
+          << "probe " << i << ": Execute reported "
+          << ProbeStatusName(out.statuses[i]) << ", Query answered";
+    } else {
+      EXPECT_EQ(got[i], out.answers[i]) << "probe " << i;
+    }
+  }
+  const auto delta = TierDelta(scalar_before, scalar.stats());
+  EXPECT_EQ(delta, TierDelta(batched_before, batched.stats()));
+  EXPECT_EQ(delta.at("queries"), traffic.num_probes());
+  ExpectShardComposeConservation(scalar);
+  ExpectShardComposeConservation(batched);
+  return delta;
+}
+
+/// Query's UnavailableError names the status Execute reports for the
+/// first probe that ends in `status`.
+void ExpectQueryNamesStatus(ShardedRlcService& scalar,
+                            ShardedRlcService& batched,
+                            const QueryBatch& traffic, ProbeStatus status) {
+  const AnswerBatch out = batched.Execute(traffic);
+  const auto it = std::find(out.statuses.begin(), out.statuses.end(), status);
+  ASSERT_NE(it, out.statuses.end());
+  const BatchProbe& p = traffic.probes()[it - out.statuses.begin()];
+  try {
+    scalar.Query(p.s, p.t, traffic.sequence(p.seq_id));
+    ADD_FAILURE() << "Query answered a probe Execute reports as "
+                  << ProbeStatusName(status);
+  } catch (const UnavailableError& e) {
+    EXPECT_NE(std::string(e.what()).find(ProbeStatusName(status)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr uint64_t kFarBackoffNs = 60ull * 1'000'000'000;
+
+/// A planted-partition graph over a locality-preserving partition: same-
+/// shard probes hit often, and the rare labels cross few shard borders, so
+/// boundary refutation fires.
+DiGraph DifferentialGraph() {
+  Rng rng(41);
+  auto edges = PlantedPartitionEdges(180, 720, 3, 0.95, rng);
+  AssignZipfLabels(&edges, 5, 2.0, rng);
+  return DiGraph(180, std::move(edges), 5);
+}
+
+ServiceOptions DifferentialOpts() {
+  ServiceOptions options = RobustOpts();
+  options.partition.policy = PartitionPolicy::kRangeOrdered;
+  return options;
+}
+
+TEST(QueryExecuteDifferentialTest, HealthyServiceAgreesWithOracle) {
+  const DiGraph g = DifferentialGraph();
+  const RlcIndex oracle = BuildRlcIndex(g, 2);
+  ShardedRlcService scalar(g, DifferentialOpts());
+  ShardedRlcService batched(g, DifferentialOpts());
+  const QueryBatch traffic = MixedTraffic(batched, g, 1);
+  const auto delta = ExpectQueryMatchesExecute(scalar, batched, traffic);
+  // The traffic covers every routing tier.
+  EXPECT_GT(delta.at("intra_true"), 0u);
+  EXPECT_GT(delta.at("intra_miss"), 0u);
+  EXPECT_GT(delta.at("cross_refuted"), 0u);
+  EXPECT_GT(delta.at("compose_probes"), 0u);
+  EXPECT_EQ(delta.at("intra_true") + delta.at("cross_refuted") +
+                delta.at("compose_probes"),
+            traffic.num_probes());
+  for (const BatchProbe& p : traffic.probes()) {
+    const LabelSeq& seq = traffic.sequence(p.seq_id);
+    ASSERT_EQ(scalar.Query(p.s, p.t, seq), oracle.Query(p.s, p.t, seq));
+  }
+}
+
+TEST(QueryExecuteDifferentialTest, ShardBreakerOpen) {
+  FailpointGuard guard;
+  const DiGraph g = DifferentialGraph();
+  ServiceOptions options = DifferentialOpts();
+  options.breaker.failure_threshold = 1;
+  options.breaker.initial_backoff_ns = kFarBackoffNs;
+  ShardedRlcService scalar(g, options);
+  ShardedRlcService batched(g, options);
+
+  // Trip shard 0's breaker on both services: one erroring shard job on a
+  // same-shard probe under a constraint shard 0 recorded.
+  QueryBatch trip;
+  const std::vector<LabelSeq> seqs = AllConstraints(g.num_labels());
+  for (VertexId v = 0; v < g.num_vertices() && trip.num_probes() == 0; ++v) {
+    if (scalar.partition().ShardOf(v) != 0) continue;
+    for (const LabelSeq& seq : seqs) {
+      if (scalar.shard_index(0).FindMr(seq) != kInvalidMrId) {
+        trip.Add(v, v, seq);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(trip.num_probes(), 1u);
+  for (ShardedRlcService* service : {&scalar, &batched}) {
+    Failpoints::Instance().Set(failpoints::kServeShardExecute,
+                               FailpointAction::kError);
+    service->Execute(trip);
+    ASSERT_EQ(service->shard_breaker_state(0), BreakerState::kOpen);
+  }
+  Failpoints::Instance().Clear();
+
+  const auto delta =
+      ExpectQueryMatchesExecute(scalar, batched, MixedTraffic(batched, g, 2));
+  EXPECT_GT(delta.at("breaker_degraded"), 0u);
+  EXPECT_GT(delta.at("intra_true"), 0u);  // the other shards still serve
+  EXPECT_EQ(scalar.shard_breaker_state(0), BreakerState::kOpen);
+  EXPECT_EQ(batched.shard_breaker_state(0), BreakerState::kOpen);
+}
+
+TEST(QueryExecuteDifferentialTest, ComposeBreakerOpen) {
+  FailpointGuard guard;
+  const DiGraph g = DifferentialGraph();
+  ServiceOptions options = DifferentialOpts();
+  options.breaker.failure_threshold = 1;
+  options.breaker.initial_backoff_ns = kFarBackoffNs;
+  ShardedRlcService scalar(g, options);
+  ShardedRlcService batched(g, options);
+  const QueryBatch traffic = MixedTraffic(batched, g, 3);
+
+  // Trip the compose breaker on both services: one failing compose job.
+  for (ShardedRlcService* service : {&scalar, &batched}) {
+    Failpoints::Instance().Set(failpoints::kServeComposeExecute,
+                               FailpointAction::kError);
+    service->Execute(traffic);
+    ASSERT_EQ(service->compose_breaker_state(), BreakerState::kOpen);
+  }
+  Failpoints::Instance().Clear();
+
+  const auto delta = ExpectQueryMatchesExecute(scalar, batched, traffic);
+  EXPECT_GT(delta.at("breaker_fail_fast"), 0u);
+  EXPECT_EQ(delta.at("compose_probes"), 0u);
+  EXPECT_GT(delta.at("intra_true") + delta.at("cross_refuted"), 0u);
+  ExpectQueryNamesStatus(scalar, batched, traffic,
+                         ProbeStatus::kShardUnavailable);
+}
+
+TEST(QueryExecuteDifferentialTest, ComposeProbeDelayPastBudget) {
+  FailpointGuard guard;
+  const DiGraph g = DifferentialGraph();
+  ServiceOptions options = DifferentialOpts();
+  options.probe_budget_ns = 1'000'000;  // 1 ms per composed probe
+  // Keep the compose breaker closed: a Query loop reports one overrun per
+  // batch of one, Execute one per batch.
+  options.breaker.failure_threshold = 1'000'000;
+  ShardedRlcService scalar(g, options);
+  ShardedRlcService batched(g, options);
+  // Every composed probe sleeps 2 ms after its budget clock started, so it
+  // is past its deadline when the composition walk begins.
+  Failpoints::Instance().Parse("serve.compose.probe=delay(2)@p1");
+
+  const QueryBatch traffic = MixedTraffic(batched, g, 4);
+  const auto delta = ExpectQueryMatchesExecute(scalar, batched, traffic);
+  EXPECT_GT(delta.at("compose_probes"), 0u);
+  EXPECT_EQ(delta.at("deadline_exceeded"), delta.at("compose_probes"));
+  EXPECT_EQ(delta.at("compose_overruns"), delta.at("compose_probes"));
+  ExpectQueryNamesStatus(scalar, batched, traffic,
+                         ProbeStatus::kDeadlineExceeded);
 }
 
 // ----------------------------------------------------------- ReviveShard

@@ -319,7 +319,8 @@ TEST(ServingTest, StatsAccountForEveryProbe) {
   service.Execute(batch);
   const ServiceStats& stats = service.stats();
   EXPECT_EQ(stats.queries, 600u);
-  EXPECT_EQ(stats.batches, 1u);
+  // Each Query is a one-probe batch: 300 of them plus the Execute.
+  EXPECT_EQ(stats.batches, 301u);
   // Every probe ends in exactly one terminal bucket.
   EXPECT_EQ(stats.queries,
             stats.intra_true + stats.cross_refuted + stats.compose_probes);
