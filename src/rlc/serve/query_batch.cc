@@ -1,12 +1,8 @@
 #include "rlc/serve/query_batch.h"
 
-#include <algorithm>
-#include <memory>
-
 #include "rlc/obs/metrics.h"
 #include "rlc/serve/kernel_jobs.h"
 #include "rlc/util/common.h"
-#include "rlc/util/thread_pool.h"
 
 namespace rlc {
 
@@ -57,92 +53,73 @@ AnswerBatch ExecuteBatch(const RlcIndex& index, const QueryBatch& batch,
 
   // Per distinct sequence: validate once, hash into the MR table once.
   const std::vector<LabelSeq>& seqs = batch.sequences();
-  std::vector<MrId> mr_of(seqs.size());
-  for (size_t i = 0; i < seqs.size(); ++i) {
+  const auto num_seqs = static_cast<uint32_t>(seqs.size());
+  std::vector<MrId> mr_of(num_seqs);
+  for (uint32_t i = 0; i < num_seqs; ++i) {
     RlcIndex::ValidateConstraint(seqs[i], index.k());
     mr_of[i] = index.FindMr(seqs[i]);
   }
 
-  // Bucket probe positions by sequence, preserving submission order inside
-  // each bucket (stable, hence deterministic).
   const std::vector<BatchProbe>& probes = batch.probes();
   const VertexId nv = index.num_vertices();
-  std::vector<std::vector<uint32_t>> by_seq(seqs.size());
   for (uint32_t i = 0; i < probes.size(); ++i) {
     const BatchProbe& p = probes[i];
-    RLC_REQUIRE(p.seq_id < seqs.size(),
+    RLC_REQUIRE(p.seq_id < num_seqs,
                 "ExecuteBatch: probe " << i << " references unknown seq_id "
                                        << p.seq_id);
     RLC_REQUIRE(p.s < nv && p.t < nv,
                 "ExecuteBatch: probe " << i << " vertex out of range");
-    by_seq[p.seq_id].push_back(i);
   }
 
-  // One chunked job run per bucket. Each job owns its pair/answer buffers;
-  // a group's jobs cover its bucket positions in order, so the splice walks
-  // them sequentially.
-  struct GroupRef {
-    const std::vector<uint32_t>* bucket;
-    size_t first_job;
-  };
+  // Bucket probe positions by sequence, in submission order inside each
+  // bucket; probes of a sequence the index never recorded land in the
+  // dropped bucket num_seqs (all false). pairs[k] is probe order[k].
+  std::vector<uint32_t> start;
+  std::vector<uint32_t> order;
+  internal::StableCountingSort(
+      probes.size(), [](size_t j) { return static_cast<uint32_t>(j); },
+      num_seqs + 1,
+      [&](uint32_t i) {
+        const uint32_t seq_id = probes[i].seq_id;
+        return mr_of[seq_id] == kInvalidMrId ? num_seqs : seq_id;
+      },
+      start, order);
+  const uint32_t num_live = start[num_seqs];
+  std::vector<VertexPair> pairs(num_live);
+  for (uint32_t k = 0; k < num_live; ++k) {
+    pairs[k] = {probes[order[k]].s, probes[order[k]].t};
+  }
   std::vector<internal::KernelJob> jobs;
-  std::vector<GroupRef> group_refs;
-  for (size_t seq_id = 0; seq_id < by_seq.size(); ++seq_id) {
-    const std::vector<uint32_t>& bucket = by_seq[seq_id];
-    if (bucket.empty()) continue;
-    if (mr_of[seq_id] == kInvalidMrId) continue;  // never recorded: all false
+  for (uint32_t seq_id = 0; seq_id < num_seqs; ++seq_id) {
+    if (start[seq_id] == start[seq_id + 1]) continue;
     ++out.num_groups;
-    group_refs.push_back({&bucket, jobs.size()});
-    const size_t first_new = jobs.size();
-    internal::AppendChunkedJobs(
-        index, mr_of[seq_id], bucket.size(), options.probes_per_job,
-        [&](size_t i) {
-          return VertexPair{probes[bucket[i]].s, probes[bucket[i]].t};
-        },
-        jobs);
-    for (size_t j = first_new; j < jobs.size(); ++j) {
-      jobs[j].deadline_ns = deadline.at_ns;
-      jobs[j].failpoint = failpoints::kServeKernelJob;
-    }
+    internal::AppendSpanJobs(index, mr_of[seq_id], start[seq_id],
+                             start[seq_id + 1], options.probes_per_job,
+                             deadline.at_ns, failpoints::kServeKernelJob,
+                             jobs);
   }
+  std::vector<uint8_t> answers(num_live, 0);
+  internal::RunKernelJobs(jobs, pairs, answers, options.pool);
 
-  // Fan the jobs out when the caller provided (or asked for) workers.
-  ThreadPool* pool = options.pool;
-  std::unique_ptr<ThreadPool> owned;
-  if (pool == nullptr && options.num_threads != 1 && jobs.size() > 1) {
-    const uint32_t threads = ThreadPool::ResolveThreads(options.num_threads);
-    if (threads > 1) {
-      owned = std::make_unique<ThreadPool>(threads);
-      pool = owned.get();
+  // Map the answers back through `order`; jobs that the deadline skipped
+  // (or that an injected fault failed) surface as statuses instead — this
+  // executor has no degraded path of its own.
+  for (const internal::KernelJob& job : jobs) {
+    if (job.outcome == internal::KernelJob::Outcome::kRan) {
+      for (uint32_t k = job.begin; k < job.end; ++k) {
+        out.answers[order[k]] = answers[k];
+      }
+      continue;
     }
-  }
-  internal::RunKernelJobs(jobs, pool);
-
-  // Splice the per-job buffers back in probe order; jobs that the deadline
-  // skipped (or that an injected fault failed) surface as statuses instead
-  // of answers — this executor has no degraded path of its own.
-  for (const GroupRef& group : group_refs) {
-    size_t pos = 0;
-    for (size_t j = group.first_job; pos < group.bucket->size(); ++j) {
-      const internal::KernelJob& job = jobs[j];
-      if (job.outcome == internal::KernelJob::Outcome::kRan) {
-        for (const uint8_t a : job.answers) {
-          out.answers[(*group.bucket)[pos++]] = a;
-        }
-        continue;
-      }
-      const ProbeStatus status =
-          job.outcome == internal::KernelJob::Outcome::kSkippedDeadline
-              ? ProbeStatus::kDeadlineExceeded
-              : ProbeStatus::kShardUnavailable;
-      if (status == ProbeStatus::kDeadlineExceeded) {
-        out.num_deadline_exceeded += job.pairs.size();
-      } else {
-        out.num_unavailable += job.pairs.size();
-      }
-      for (size_t k = 0; k < job.pairs.size(); ++k) {
-        out.statuses[(*group.bucket)[pos++]] = status;
-      }
+    ProbeStatus status = ProbeStatus::kShardUnavailable;
+    if (job.outcome == internal::KernelJob::Outcome::kSkippedDeadline) {
+      status = ProbeStatus::kDeadlineExceeded;
+      out.num_deadline_exceeded += job.end - job.begin;
+    } else {
+      out.num_unavailable += job.end - job.begin;
+    }
+    for (uint32_t k = job.begin; k < job.end; ++k) {
+      out.statuses[order[k]] = status;
     }
   }
 

@@ -10,6 +10,11 @@
 // dominates scalar serving — FindMr hashing, constraint validation, and the
 // cold first touch of every probe's entry lists.
 //
+// Both executors share one flat layout per batch (serve/kernel_jobs.h): a
+// stable counting sort of the probe positions by group, one flat probe-pair
+// array in that order, and kernel jobs that are spans of it answering into
+// one flat answer array, mapped back to submission order at the end.
+//
 // Two executors exist:
 //  * ExecuteBatch(index, batch)      — one whole-graph index (this header);
 //  * ShardedRlcService::Execute      — routed across shards
@@ -104,14 +109,10 @@ struct AnswerBatch {
 
 /// Execution knobs for the single-index executor.
 struct ExecuteOptions {
-  /// Worker threads for the grouped CSR passes. 1 = run on the caller's
-  /// thread (no pool); 0 = all hardware threads. With more than one
-  /// thread the probe groups are partitioned across a pool and answered
-  /// into per-job buffers that are spliced back in probe order — answers
-  /// and counters are identical for every thread count.
-  uint32_t num_threads = 1;
-  /// Reuse an existing pool instead of spawning one per call (overrides
-  /// num_threads). The pool is only borrowed for the duration of the call.
+  /// Pool the grouped CSR passes fan out across; null (default) runs them
+  /// on the caller's thread. The pool is only borrowed for the duration of
+  /// the call. Jobs answer disjoint spans of one flat per-batch array, so
+  /// answers and counters are identical with and without a pool.
   ThreadPool* pool = nullptr;
   /// Groups larger than this split into multiple jobs so a batch dominated
   /// by one template still spreads across the pool.
@@ -127,9 +128,9 @@ struct ExecuteOptions {
 
 /// Executes `batch` against one whole-graph index: validates and resolves
 /// each distinct sequence once, then runs one grouped CSR pass per distinct
-/// MR — in parallel across (chunked) groups when `options` provides
-/// threads. Answers are identical to calling index.Query per probe, for
-/// every thread count.
+/// MR — in parallel across (chunked) groups when `options` provides a
+/// pool. Answers are identical to calling index.Query per probe, with or
+/// without a pool.
 /// \throws std::invalid_argument on an invalid sequence (empty, longer than
 ///         the index's k, or non-primitive), an out-of-range probe vertex,
 ///         or an out-of-range seq_id.

@@ -528,11 +528,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
       metrics_on || limits.batch_budget_ns != 0 ? obs::NowNanos() : 0;
   const Deadline deadline = Deadline::After(limits.batch_budget_ns, t_start);
 
-  AnswerBatch out;
-  out.answers.assign(batch.num_probes(), 0);
-  out.statuses.assign(batch.num_probes(), ProbeStatus::kOk);
-  c_.batches.Inc();
-
   // Resolve (validate + intern-lookup) each distinct sequence once. The
   // entry pointers stay valid across the loop: references into the node-
   // based map are insert-stable. The memo is bounded here, up front, so
@@ -551,304 +546,290 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
   entries.reserve(seqs.size());
   for (const LabelSeq& seq : seqs) entries.push_back(&Resolve(seq));
 
-  // Bucket probe positions by (shard, seq) for same-shard probes and by
-  // seq alone for cross-shard ones; submission order is preserved inside
-  // each bucket, so execution is deterministic.
-  struct Group {
-    uint32_t shard_plus_1;  // 0 = cross-shard bucket
-    uint32_t seq_id;
-    std::vector<uint32_t> probe_idx;
+  // Per-probe routing state, in submission order. Every probe is validated
+  // before the batch counts, so a rejected call counts neither a batch nor
+  // its queries.
+  enum : uint8_t {
+    kCross,      // endpoints in different shards
+    kSameShard,  // same shard; after the kernel pass: a shard miss
+    kDegrade,    // no trustworthy shard answer: answered index-free
+    kDone,       // answered, refuted or given a status
   };
   const std::vector<BatchProbe>& probes = batch.probes();
+  const auto n = static_cast<uint32_t>(probes.size());
+  const auto num_seqs = static_cast<uint32_t>(seqs.size());
   const VertexId nv = g_.num_vertices();
-  std::unordered_map<uint64_t, uint32_t> group_of;
-  std::vector<Group> groups;
-  for (uint32_t i = 0; i < probes.size(); ++i) {
+  std::vector<uint8_t> route(n);
+  for (uint32_t i = 0; i < n; ++i) {
     const BatchProbe& p = probes[i];
-    RLC_REQUIRE(p.seq_id < seqs.size(),
+    RLC_REQUIRE(p.seq_id < num_seqs,
                 "ShardedRlcService::Execute: probe " << i
                     << " references unknown seq_id " << p.seq_id);
     RLC_REQUIRE(p.s < nv && p.t < nv,
                 "ShardedRlcService::Execute: probe " << i
                     << " vertex out of range");
-    const uint32_t ss = partition_.ShardOf(p.s);
-    const uint32_t st = partition_.ShardOf(p.t);
-    const uint32_t shard_plus_1 = ss == st ? ss + 1 : 0;
-    const uint64_t key = (static_cast<uint64_t>(shard_plus_1) << 32) | p.seq_id;
-    const auto [it, inserted] =
-        group_of.try_emplace(key, static_cast<uint32_t>(groups.size()));
-    if (inserted) groups.push_back({shard_plus_1, p.seq_id, {}});
-    groups[it->second].probe_idx.push_back(i);
+    route[i] = partition_.ShardOf(p.s) == partition_.ShardOf(p.t) ? kSameShard
+                                                                   : kCross;
   }
-  c_.queries.Add(probes.size());
+  c_.batches.Inc();
+  c_.queries.Add(n);
+  AnswerBatch out;
+  out.answers.assign(n, 0);
+  out.statuses.assign(n, ProbeStatus::kOk);
+
+  // Bucket the same-shard probes by (shard, seq) with two stable counting
+  // passes — by seq, then by shard — so `order` lists them shard-major,
+  // in submission order inside each group, and pairs[k] is probe order[k]
+  // in shard-local ids. Cross-shard probes fall in the dropped bucket.
+  const auto identity = [](size_t j) { return static_cast<uint32_t>(j); };
+  std::vector<uint32_t> start;
+  std::vector<uint32_t> by_seq;
+  std::vector<uint32_t> order;
+  internal::StableCountingSort(
+      n, identity, num_seqs + 1,
+      [&](uint32_t i) {
+        return route[i] == kSameShard ? probes[i].seq_id : num_seqs;
+      },
+      start, by_seq);
+  const uint32_t num_same = start[num_seqs];
+  internal::StableCountingSort(
+      num_same, [&](size_t j) { return by_seq[j]; }, partition_.num_shards(),
+      [&](uint32_t i) { return partition_.ShardOf(probes[i].s); }, start,
+      order);
+  std::vector<VertexPair> pairs(num_same);
+  for (uint32_t k = 0; k < num_same; ++k) {
+    const BatchProbe& p = probes[order[k]];
+    pairs[k] = {partition_.LocalOf(p.s), partition_.LocalOf(p.t)};
+  }
   const uint64_t t_resolved = metrics_on ? obs::NowNanos() : 0;
   if (metrics_on) h_.resolve_ns.Record(t_resolved - t_start);
 
-  // Pin one epoch per index for the whole batch: a background reseal may
-  // finish mid-execution, and the snapshots keep every job of this batch on
-  // one consistent (and alive) index even across the owner's next swap.
-  std::vector<std::shared_ptr<const RlcIndex>> shard_snaps;
-  shard_snaps.reserve(shard_dyn_.size());
-  for (const auto& dyn : shard_dyn_) shard_snaps.push_back(dyn->Snapshot());
-
-  // Phase 1: grouped CSR probes on the shard indexes. The kernel passes of
-  // all executable groups fan out across the execution pool (per-job
-  // buffers, no shared mutable state); the routing decisions — boundary
-  // refutation, stats, composed-probe collection — then run sequentially
-  // over the job answers in group submission order, so every thread count
-  // produces identical answers and counters.
+  // Phase 1: grouped CSR probes on the shard indexes, one job list over
+  // the flat groups, fanned out across the execution pool. Each shard the
+  // batch touches gets one breaker decision — denied shards get no jobs:
+  // their probes degrade straight to index-free composition — and one
+  // pinned epoch: a background reseal may finish mid-execution, and the
+  // snapshot keeps every job of this batch on one consistent (and alive)
+  // index even across the owner's next swap.
   const size_t chunk = std::max<size_t>(size_t{1}, options_.exec_probes_per_job);
   std::vector<internal::KernelJob> jobs;
-  std::vector<size_t> first_job(groups.size(), SIZE_MAX);
-  // Per-shard breaker decision, made once per batch (lazily, only for
-  // shards this batch touches). Denied shards get no jobs: their probes
-  // degrade straight to index-free composition in the routing pass.
-  std::vector<int8_t> shard_decision(shard_dyn_.size(), -1);
-  auto decide_shard = [&](uint32_t shard) {
-    if (shard_decision[shard] < 0) {
-      shard_decision[shard] =
-          static_cast<int8_t>(BreakerDecide(shard_breakers_[shard]));
-    }
-    return static_cast<CircuitBreaker::Decision>(shard_decision[shard]);
-  };
-  std::vector<uint8_t> group_degraded(groups.size(), 0);
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    const Group& group = groups[gi];
-    if (group.shard_plus_1 == 0) continue;
-    const uint32_t shard = group.shard_plus_1 - 1;
-    if (decide_shard(shard) == CircuitBreaker::Decision::kDeny) {
-      group_degraded[gi] = 1;
+  std::vector<std::shared_ptr<const RlcIndex>> pinned;
+  uint64_t intra_true = 0;
+  uint64_t intra_miss = 0;
+  for (uint32_t shard = 0; shard < partition_.num_shards(); ++shard) {
+    const uint32_t shard_end = start[shard + 1];
+    if (start[shard] == shard_end) continue;
+    if (BreakerDecide(shard_breakers_[shard]) ==
+        CircuitBreaker::Decision::kDeny) {
+      for (uint32_t k = start[shard]; k < shard_end; ++k) {
+        route[order[k]] = kDegrade;
+      }
       continue;
     }
-    const MrId mr = entries[group.seq_id]->shard_mr[shard];
-    if (mr == kInvalidMrId) continue;
-    first_job[gi] = jobs.size();
-    const size_t first_new = jobs.size();
-    internal::AppendChunkedJobs(
-        *shard_snaps[shard], mr, group.probe_idx.size(), chunk,
-        [&](size_t i) {
-          const BatchProbe& p = probes[group.probe_idx[i]];
-          return VertexPair{partition_.LocalOf(p.s), partition_.LocalOf(p.t)};
-        },
-        jobs);
-    for (size_t j = first_new; j < jobs.size(); ++j) {
-      jobs[j].deadline_ns = deadline.at_ns;
-      jobs[j].failpoint = failpoints::kServeShardExecute;
+    pinned.push_back(shard_dyn_[shard]->Snapshot());
+    for (uint32_t begin = start[shard]; begin < shard_end;) {
+      const uint32_t seq_id = probes[order[begin]].seq_id;
+      uint32_t end = begin + 1;
+      while (end < shard_end && probes[order[end]].seq_id == seq_id) ++end;
+      const MrId mr = entries[seq_id]->shard_mr[shard];
+      if (mr == kInvalidMrId) {
+        // The shard never recorded this MR: every probe is a shard miss
+        // (matching ExecuteBatch, such groups do not count as executed).
+        intra_miss += end - begin;
+      } else {
+        ++out.num_groups;
+        internal::AppendSpanJobs(*pinned.back(), mr, begin, end, chunk,
+                                 deadline.at_ns,
+                                 failpoints::kServeShardExecute, jobs);
+      }
+      begin = end;
     }
   }
-  internal::RunKernelJobs(jobs, exec_pool_.get());
+  std::vector<uint8_t> answers(num_same, 0);
+  internal::RunKernelJobs(jobs, pairs, answers, exec_pool_.get());
   const uint64_t t_shard_done = metrics_on ? obs::NowNanos() : 0;
   if (metrics_on) internal::MergeJobStats(jobs, &h_.shard_kernel_ns);
 
-  // Sequential routing pass over the shard answers. Pending probes carry
-  // whether they also need the index-free intra answer (degraded probes:
-  // their shard index never reported a miss).
-  struct PendingProbe {
-    uint32_t idx;
-    uint8_t need_intra;
-  };
-  std::vector<std::vector<PendingProbe>> pending(seqs.size());
-  auto route_cross = [&](uint32_t probe_i) {
-    const BatchProbe& p = probes[probe_i];
-    if (RefutedByBoundary(partition_.ShardOf(p.s), partition_.ShardOf(p.t),
-                          seqs[p.seq_id])) {
-      c_.cross_refuted.Inc();
-      ++out.num_refuted;
-    } else {
-      pending[p.seq_id].push_back({probe_i, 0});
-    }
-  };
-  // A probe without a trustworthy shard answer (breaker-open shard, failed
-  // job) is answered index-free: boundary refutation is only sound after
-  // the shard index reported a miss — without that, the witness may sit
-  // entirely inside the shard, so the composed probe also runs the intra
-  // product search.
-  auto degrade = [&](uint32_t probe_i) {
-    const BatchProbe& p = probes[probe_i];
-    pending[p.seq_id].push_back({probe_i, 1});
-    ++out.num_degraded;
-  };
-  // Breaker evidence, resolved once per shard after the whole batch: any
-  // failed job is a failure; otherwise any job that ran is a success
-  // (deadline-skipped jobs are no evidence either way).
-  std::vector<uint8_t> shard_ran(shard_dyn_.size(), 0);
-  std::vector<uint8_t> shard_failed(shard_dyn_.size(), 0);
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    const Group& group = groups[gi];
-    if (group.shard_plus_1 == 0) {
-      for (const uint32_t i : group.probe_idx) route_cross(i);
-      continue;
-    }
-    if (group_degraded[gi]) {
-      for (const uint32_t i : group.probe_idx) degrade(i);
-      continue;
-    }
-    if (first_job[gi] == SIZE_MAX) {
-      // The shard never recorded this MR: every probe is a shard miss
-      // (matching ExecuteBatch, such groups do not count as executed).
-      c_.intra_miss.Add(group.probe_idx.size());
-      for (const uint32_t i : group.probe_idx) route_cross(i);
-      continue;
-    }
-    const uint32_t shard = group.shard_plus_1 - 1;
-    ++out.num_groups;
-    size_t job = first_job[gi];
-    size_t k = 0;
-    uint64_t group_true = 0;
-    uint64_t group_miss = 0;
-    for (const uint32_t i : group.probe_idx) {
-      if (k == jobs[job].answers.size()) {
-        ++job;
-        k = 0;
-      }
-      const internal::KernelJob& jb = jobs[job];
-      if (jb.outcome == internal::KernelJob::Outcome::kRan) {
-        shard_ran[shard] = 1;
-        if (jb.answers[k]) {
-          out.answers[i] = 1;
-          ++group_true;
-        } else {
-          ++group_miss;
-          route_cross(i);
+  // Map the kernel answers back through `order`. Jobs are shard-major, so
+  // each shard's jobs are adjacent and its breaker evidence resolves once
+  // per batch: any failed job is a failure; otherwise any job that ran is
+  // a success (deadline-skipped jobs are no evidence either way).
+  for (size_t j = 0; j < jobs.size();) {
+    const RlcIndex* shard_index = jobs[j].index;
+    const uint32_t shard = partition_.ShardOf(probes[order[jobs[j].begin]].s);
+    bool ran = false;
+    bool failed = false;
+    for (; j < jobs.size() && jobs[j].index == shard_index; ++j) {
+      const internal::KernelJob& job = jobs[j];
+      for (uint32_t k = job.begin; k < job.end; ++k) {
+        const uint32_t i = order[k];
+        if (job.outcome == internal::KernelJob::Outcome::kRan) {
+          if (answers[k]) {
+            out.answers[i] = 1;
+            route[i] = kDone;
+            ++intra_true;
+          } else {
+            ++intra_miss;
+          }
+        } else if (job.outcome ==
+                   internal::KernelJob::Outcome::kSkippedDeadline) {
+          out.statuses[i] = ProbeStatus::kDeadlineExceeded;
+          route[i] = kDone;
+        } else {  // kFailed: injected fault in the shard kernel
+          route[i] = kDegrade;
         }
-      } else if (jb.outcome == internal::KernelJob::Outcome::kSkippedDeadline) {
-        out.statuses[i] = ProbeStatus::kDeadlineExceeded;
-        ++out.num_deadline_exceeded;
-      } else {  // kFailed: injected fault in the shard kernel
-        shard_failed[shard] = 1;
-        degrade(i);
       }
-      ++k;
+      ran = ran || job.outcome == internal::KernelJob::Outcome::kRan;
+      failed = failed || job.outcome == internal::KernelJob::Outcome::kFailed;
+      if (job.outcome == internal::KernelJob::Outcome::kSkippedDeadline) {
+        out.num_deadline_exceeded += job.end - job.begin;
+      }
     }
-    c_.intra_true.Add(group_true);
-    c_.intra_miss.Add(group_miss);
-  }
-  for (uint32_t shard = 0; shard < shard_dyn_.size(); ++shard) {
-    if (shard_failed[shard]) {
+    if (failed) {
       BreakerFail(shard_breakers_[shard]);
-    } else if (shard_ran[shard]) {
+    } else if (ran) {
       BreakerOk(shard_breakers_[shard]);
     }
   }
+  c_.intra_true.Add(intra_true);
+  c_.intra_miss.Add(intra_miss);
+
+  // Routing pass, in submission order. A shard miss or a cross-shard probe
+  // faces boundary refutation. A probe without a trustworthy shard answer
+  // (breaker-open shard, failed job) is answered index-free: boundary
+  // refutation is only sound after the shard index reported a miss —
+  // without that, the witness may sit entirely inside the shard, so the
+  // composed probe also runs the intra product search.
+  for (uint32_t i = 0; i < n; ++i) {
+    const BatchProbe& p = probes[i];
+    if (route[i] == kDegrade) {
+      ++out.num_degraded;
+    } else if (route[i] != kDone &&
+               RefutedByBoundary(partition_.ShardOf(p.s),
+                                 partition_.ShardOf(p.t), seqs[p.seq_id])) {
+      route[i] = kDone;
+      ++out.num_refuted;
+    }
+  }
+  c_.cross_refuted.Add(out.num_refuted);
   if (out.num_degraded > 0) c_.breaker_degraded.Add(out.num_degraded);
   if (metrics_on) h_.route_ns.Record(obs::NowNanos() - t_shard_done);
 
-  // Phase 2: composition. The pending probes fan out across the execution
-  // pool in chunked jobs — the engine's probe path is const on a prepared
-  // plan, each job carries its own scratch and answer buffers, and all
-  // telemetry merges sequentially after the barrier, so answers and
-  // counters are identical for every thread count. The compose breaker is
+  // Phase 2: composition of every probe still routed, bucketed by seq in
+  // submission order (reusing `start`/`order`). The compose breaker is
   // consulted once per batch: open means the pending probes fail fast as
   // kShardUnavailable instead of piling onto an engine that is already
   // drowning.
-  size_t pending_total = 0;
-  for (const std::vector<PendingProbe>& bucket : pending) {
-    pending_total += bucket.size();
-  }
+  internal::StableCountingSort(
+      n, identity, num_seqs + 1,
+      [&](uint32_t i) {
+        return route[i] == kDone ? num_seqs : probes[i].seq_id;
+      },
+      start, order);
+  const uint32_t pending_total = start[num_seqs];
   if (pending_total > 0 && BreakerDecide(compose_breaker_) ==
                                CircuitBreaker::Decision::kDeny) {
-    for (const std::vector<PendingProbe>& bucket : pending) {
-      for (const PendingProbe& pp : bucket) {
-        out.statuses[pp.idx] = ProbeStatus::kShardUnavailable;
-        ++out.num_unavailable;
-      }
+    for (uint32_t k = 0; k < pending_total; ++k) {
+      out.statuses[order[k]] = ProbeStatus::kShardUnavailable;
     }
+    out.num_unavailable += pending_total;
     c_.breaker_fail_fast.Add(pending_total);
   } else if (pending_total > 0) {
     const bool timed_probes = metrics_on || limits.probe_budget_ns != 0;
     bool any_ran = false;
     bool any_failed = false;
     uint64_t total_overruns = 0;
-    std::vector<uint32_t> pending_seqs;
-    for (uint32_t seq_id = 0; seq_id < pending.size(); ++seq_id) {
-      if (!pending[seq_id].empty()) pending_seqs.push_back(seq_id);
-    }
     // Plans are prepared on the caller thread (the engine's only non-const
     // entry point), in rounds bounded by the engine's plan-cache capacity:
     // PreparePlan flushes the cache when full, which would dangle earlier
     // plan pointers if a round outgrew it.
     const size_t plan_cap =
         std::max<size_t>(size_t{1}, compose_->options().max_cached_plans);
-    size_t seq_pos = 0;
-    while (seq_pos < pending_seqs.size()) {
-      const size_t round =
-          std::min(plan_cap, pending_seqs.size() - seq_pos);
+    std::vector<const CompositionEngine::Plan*> plans(num_seqs, nullptr);
+    uint32_t seq_begin = 0;
+    while (start[seq_begin] < pending_total) {
+      // A round is the next plan_cap sequences with pending probes: one
+      // contiguous span [start[seq_begin], start[seq_end]) of `order`.
+      size_t round = 0;
+      uint32_t seq_end = seq_begin;
+      for (; seq_end < num_seqs && round < plan_cap; ++seq_end) {
+        if (start[seq_end] < start[seq_end + 1]) ++round;
+      }
       if (compose_->num_cached_plans() + round > plan_cap) {
         compose_->InvalidateAll();
       }
-      std::vector<const CompositionEngine::Plan*> plans(seqs.size(), nullptr);
       uint32_t invalidated_total = 0;
-      struct ComposeItem {
-        uint32_t probe;
-        uint32_t seq_id;
-        uint8_t need_intra;
-      };
-      std::vector<ComposeItem> items;
-      for (size_t r = 0; r < round; ++r) {
-        const uint32_t seq_id = pending_seqs[seq_pos + r];
+      for (uint32_t seq_id = seq_begin; seq_id < seq_end; ++seq_id) {
+        if (start[seq_id] == start[seq_id + 1]) continue;
         uint32_t invalidated = 0;
         plans[seq_id] = &compose_->PreparePlan(seqs[seq_id], &invalidated);
         invalidated_total += invalidated;
-        for (const PendingProbe& pp : pending[seq_id]) {
-          items.push_back({pp.idx, seq_id, pp.need_intra});
-          // Attributed here, with compose_probes: only probes the compose
-          // breaker admitted count against their source shard.
-          shard_compose_[partition_.ShardOf(probes[pp.idx].s)]->Inc();
-        }
       }
-      seq_pos += round;
       if (invalidated_total > 0) {
         c_.compose_invalidations.Add(invalidated_total);
       }
-      c_.compose_probes.Add(items.size());
-      out.num_composed += items.size();
+      const uint32_t round_begin = start[seq_begin];
+      const uint32_t round_end = start[seq_end];
+      seq_begin = seq_end;
+      // Attributed here, with compose_probes: only probes the compose
+      // breaker admitted count against their source shard.
+      for (uint32_t k = round_begin; k < round_end; ++k) {
+        shard_compose_[partition_.ShardOf(probes[order[k]].s)]->Inc();
+      }
+      c_.compose_probes.Add(round_end - round_begin);
+      out.num_composed += round_end - round_begin;
 
+      // The round fans out across the execution pool in chunked jobs — the
+      // engine's probe path is const on a prepared plan and each worker
+      // carries its own scratch. Jobs write answers and statuses of
+      // disjoint probes straight into `out` and record the histograms
+      // directly; their scalar counters merge after the barrier, so
+      // answers and counters are identical for every thread count.
       struct ComposeJob {
-        size_t first = 0;
-        size_t count = 0;
-        std::vector<uint8_t> answers;
-        std::vector<ProbeStatus> statuses;
-        std::vector<uint64_t> probe_ns;
-        uint64_t job_ns = 0;
+        uint32_t begin = 0;
+        uint32_t end = 0;
         uint64_t hops = 0;
         uint64_t expanded = 0;
         uint64_t rows_built = 0;
         uint64_t row_states = 0;
         uint64_t overruns = 0;
+        uint64_t deadline_exceeded = 0;
+        uint64_t unavailable = 0;
         bool ran = false;
         bool failed = false;
       };
       std::vector<ComposeJob> compose_jobs;
-      for (size_t first = 0; first < items.size(); first += chunk) {
+      for (uint32_t begin = round_begin; begin < round_end;) {
         ComposeJob jb;
-        jb.first = first;
-        jb.count = std::min(chunk, items.size() - first);
-        compose_jobs.push_back(std::move(jb));
+        jb.begin = begin;
+        jb.end = static_cast<uint32_t>(
+            std::min<size_t>(round_end, size_t{begin} + chunk));
+        compose_jobs.push_back(jb);
+        begin = jb.end;
       }
       auto run_compose_job = [&](ComposeJob& jb,
                                  CompositionEngine::Scratch& scratch) {
         const uint64_t jt0 = metrics_on ? obs::NowNanos() : 0;
-        jb.answers.assign(jb.count, 0);
-        jb.statuses.assign(jb.count, ProbeStatus::kOk);
-        if (timed_probes) jb.probe_ns.assign(jb.count, 0);
         bool job_ok = true;
         try {
           FailpointHitFast(failpoints::kServeComposeExecute);
         } catch (const std::exception&) {
           job_ok = false;  // injected job-level fault: the whole chunk fails
         }
-        for (size_t k = 0; k < jb.count; ++k) {
+        for (uint32_t k = jb.begin; k < jb.end; ++k) {
+          const uint32_t i = order[k];
           if (!job_ok) {
             jb.failed = true;
-            jb.statuses[k] = ProbeStatus::kShardUnavailable;
+            out.statuses[i] = ProbeStatus::kShardUnavailable;
+            ++jb.unavailable;
             continue;
           }
           if (deadline.active() && deadline.Expired(obs::NowNanos())) {
-            jb.statuses[k] = ProbeStatus::kDeadlineExceeded;
+            out.statuses[i] = ProbeStatus::kDeadlineExceeded;
+            ++jb.deadline_exceeded;
             continue;
           }
-          const ComposeItem& item = items[jb.first + k];
-          const BatchProbe& p = probes[item.probe];
+          const BatchProbe& p = probes[i];
           try {
             // Per-probe deadline = batch deadline ∩ probe budget, with the
             // clock started before the failpoint so injected delays consume
@@ -859,8 +840,8 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
                 deadline, Deadline::After(limits.probe_budget_ns, t0));
             FailpointHitFast(failpoints::kServeComposeProbe);
             const ComposeResult r = compose_->ComposedQuery(
-                p.s, p.t, *plans[item.seq_id], scratch, probe_deadline,
-                item.need_intra != 0);
+                p.s, p.t, *plans[p.seq_id], scratch, probe_deadline,
+                route[i] == kDegrade);
             jb.hops += r.skeleton_hops;
             jb.expanded += r.expanded;
             jb.rows_built += r.table_rows_built;
@@ -870,15 +851,16 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
               // Aborted mid-traversal: partial telemetry, no answer. The
               // overrun counts only when the probe budget — not just the
               // batch deadline — was binding.
-              jb.statuses[k] = ProbeStatus::kDeadlineExceeded;
+              out.statuses[i] = ProbeStatus::kDeadlineExceeded;
+              ++jb.deadline_exceeded;
               if (limits.probe_budget_ns != 0 &&
                   elapsed >= limits.probe_budget_ns) {
                 ++jb.overruns;
               }
               continue;
             }
-            if (timed_probes) jb.probe_ns[k] = elapsed;
-            jb.answers[k] = r.reachable ? 1 : 0;
+            if (metrics_on) h_.compose_probe_ns.Record(elapsed);
+            out.answers[i] = r.reachable ? 1 : 0;
             jb.ran = true;
             if (limits.probe_budget_ns != 0 &&
                 elapsed > limits.probe_budget_ns) {
@@ -886,10 +868,11 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
             }
           } catch (const std::exception&) {
             jb.failed = true;
-            jb.statuses[k] = ProbeStatus::kShardUnavailable;
+            out.statuses[i] = ProbeStatus::kShardUnavailable;
+            ++jb.unavailable;
           }
         }
-        if (metrics_on) jb.job_ns = obs::NowNanos() - jt0;
+        if (metrics_on) h_.compose_job_ns.Record(obs::NowNanos() - jt0);
       };
       if (exec_pool_ != nullptr && compose_jobs.size() > 1) {
         std::atomic<size_t> cursor{0};
@@ -905,30 +888,17 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         }
       }
 
-      // Merge, sequentially and in item order.
       uint64_t hops = 0, expanded = 0, rows_built = 0, row_states = 0;
       for (const ComposeJob& jb : compose_jobs) {
-        for (size_t k = 0; k < jb.count; ++k) {
-          const uint32_t i = items[jb.first + k].probe;
-          if (jb.statuses[k] == ProbeStatus::kOk) {
-            out.answers[i] = jb.answers[k];
-            if (metrics_on) h_.compose_probe_ns.Record(jb.probe_ns[k]);
-          } else if (jb.statuses[k] == ProbeStatus::kDeadlineExceeded) {
-            out.statuses[i] = ProbeStatus::kDeadlineExceeded;
-            ++out.num_deadline_exceeded;
-          } else {
-            out.statuses[i] = ProbeStatus::kShardUnavailable;
-            ++out.num_unavailable;
-          }
-        }
         hops += jb.hops;
         expanded += jb.expanded;
         rows_built += jb.rows_built;
         row_states += jb.row_states;
         total_overruns += jb.overruns;
+        out.num_deadline_exceeded += jb.deadline_exceeded;
+        out.num_unavailable += jb.unavailable;
         any_ran = any_ran || jb.ran;
         any_failed = any_failed || jb.failed;
-        if (metrics_on) h_.compose_job_ns.Record(jb.job_ns);
       }
       c_.compose_skeleton_hops.Add(hops);
       c_.compose_expanded.Add(expanded);

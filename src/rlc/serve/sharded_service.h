@@ -27,11 +27,13 @@
 // tests/composition_test.cc sweep policies x shard counts).
 //
 // The batched entry point (Execute) additionally resolves each distinct
-// constraint once, groups probes by (shard, MR), runs each group over the
-// sealed CSR layout with lookahead prefetch (query_batch.h), and fans the
-// surviving composed probes out across the execution pool (the composition
-// engine's probe path is const; lazily built transition rows publish via
-// acquire/release).
+// constraint once, counting-sorts the same-shard probes into one flat
+// (shard, MR)-grouped layout, runs each group over the sealed CSR layout
+// with lookahead prefetch (query_batch.h), routes the rest in submission
+// order, and fans the surviving composed probes out across the execution
+// pool (the composition engine's probe path is const; lazily built
+// transition rows publish via acquire/release). Every job writes the
+// answers of its own probes in place.
 //
 // The service also accepts live edge inserts and deletes (ApplyUpdates):
 // intra-shard edges go to the owning shard's dynamically maintained index
@@ -85,10 +87,11 @@ struct ServiceOptions {
   uint32_t build_threads = 0;
   /// Worker pool size for batched query execution (Execute): the (shard,
   /// MR) probe groups and the composed-probe chunks fan out across a pool
-  /// kept alive for the service's lifetime, with per-job answer buffers
-  /// spliced back in probe order. 1 = execute on the caller's thread
-  /// (default); 0 = all hardware threads. Answers and stats are identical
-  /// for every value.
+  /// kept alive for the service's lifetime. Kernel jobs answer disjoint
+  /// spans of one flat per-batch array; compose jobs write their probes'
+  /// answers and statuses straight into the result. 1 = execute on the
+  /// caller's thread (default); 0 = all hardware threads. Answers and
+  /// stats are identical for every value.
   uint32_t exec_threads = 1;
   /// Split probe groups larger than this into multiple jobs so a batch
   /// dominated by one (shard, MR) group still spreads across the pool.

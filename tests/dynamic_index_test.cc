@@ -19,6 +19,7 @@
 #include "rlc/graph/label_assign.h"
 #include "rlc/serve/query_batch.h"
 #include "rlc/util/rng.h"
+#include "rlc/util/thread_pool.h"
 #include "rlc/workload/query_gen.h"
 
 namespace rlc {
@@ -338,8 +339,9 @@ TEST(DynamicIndexTest, ExecuteBatchHammerAcrossEpochSwap) {
   policy.max_delta_ratio = 1e-6;
   DynamicRlcIndex dyn(g, BuildSealed(g, 2), policy);
 
+  ThreadPool pool(4);
   ExecuteOptions exec;
-  exec.num_threads = 4;
+  exec.pool = &pool;
   exec.probes_per_job = 64;
 
   Rng rng(89);

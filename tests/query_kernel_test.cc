@@ -26,6 +26,7 @@
 #include "rlc/serve/query_batch.h"
 #include "rlc/util/rng.h"
 #include "rlc/util/simd.h"
+#include "rlc/util/thread_pool.h"
 #include "rlc/workload/query_gen.h"
 
 namespace rlc {
@@ -256,9 +257,10 @@ TEST(ParallelExecuteTest, ThreadCountsProduceIdenticalAnswers) {
   }
   const AnswerBatch reference = ExecuteBatch(index, batch);
   for (const uint32_t threads : {2u, 3u, 8u}) {
+    ThreadPool pool(threads);
     for (const size_t chunk : {size_t{1}, size_t{7}, size_t{8192}}) {
       ExecuteOptions opts;
-      opts.num_threads = threads;
+      opts.pool = &pool;
       opts.probes_per_job = chunk;
       const AnswerBatch got = ExecuteBatch(index, batch, opts);
       EXPECT_EQ(reference.answers, got.answers)

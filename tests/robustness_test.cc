@@ -525,6 +525,57 @@ TEST(ExecuteBatchDeadlineTest, FailedJobSurfacesAsUnavailableNotGarbage) {
   }
 }
 
+/// With probes_per_job = 5, a one-sequence batch splits into jobs over
+/// positions [0, 5), [5, 10), ...; an error on the second failpoint hit
+/// fails exactly one such span, and every other probe stays exact. On one
+/// worker the second hit is the second job, [5, 10); on four, jobs claimed
+/// concurrently may evaluate the failpoint out of claim order, so the
+/// failed span is some aligned span of five.
+TEST(ExecuteBatchDeadlineTest, FailedJobFailsExactlyItsSpan) {
+  FailpointGuard guard;
+  const DiGraph g = RandomGraph(120, 500, 4, 4);
+  const RlcIndex index = BuildRlcIndex(g, 2);
+  const LabelSeq seq{0};
+  ASSERT_NE(index.FindMr(seq), kInvalidMrId);
+  QueryBatch batch;
+  std::vector<uint8_t> want;
+  Rng rng(12);
+  for (int i = 0; i < 30; ++i) {  // six jobs of five
+    const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
+    const auto t = static_cast<VertexId>(rng.Below(g.num_vertices()));
+    batch.Add(s, t, seq);
+    want.push_back(index.Query(s, t, seq) ? 1 : 0);
+  }
+  for (const uint32_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    ExecuteOptions options;
+    options.pool = &pool;
+    options.probes_per_job = 5;
+    Failpoints::Instance().Set(failpoints::kServeKernelJob,
+                               FailpointAction::kError, /*trigger_hit=*/2);
+    const AnswerBatch out = ExecuteBatch(index, batch, options);
+    Failpoints::Instance().Clear();
+    EXPECT_EQ(out.num_unavailable, 5u) << "threads=" << threads;
+    const size_t first = static_cast<size_t>(
+        std::find(out.statuses.begin(), out.statuses.end(),
+                  ProbeStatus::kShardUnavailable) -
+        out.statuses.begin());
+    EXPECT_EQ(first % 5, 0u) << "threads=" << threads;
+    if (threads == 1) {
+      EXPECT_EQ(first, 5u);
+    }
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (i >= first && i < first + 5) {
+        EXPECT_EQ(out.statuses[i], ProbeStatus::kShardUnavailable) << i;
+        EXPECT_EQ(out.answers[i], 0) << i;
+      } else {
+        EXPECT_EQ(out.statuses[i], ProbeStatus::kOk) << i;
+        EXPECT_EQ(out.answers[i], want[i]) << i;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------- Service admission/shed
 
 ServiceOptions RobustOpts(uint32_t shards = 3) {
@@ -565,6 +616,20 @@ TEST(ServiceAdmissionTest, BatchProbeCapShedsTypedOrAsStatuses) {
     EXPECT_EQ(s, ProbeStatus::kShedded);
   }
   EXPECT_GE(service.stats().shed, 2 * big.num_probes());
+}
+
+TEST(ServiceAdmissionTest, RejectedCallCountsNoBatchAndNoQueries) {
+  const DiGraph g = RandomGraph(150, 600, 4, 9);
+  ShardedRlcService service(g, RobustOpts());
+  service.Execute(MakeBatch(g, 8, 1));
+  const ServiceStats before = service.stats();
+  // Non-primitive constraint: (1 1) is not its own minimum repeat.
+  EXPECT_THROW(service.Query(0, 1, LabelSeq{1, 1}), std::invalid_argument);
+  QueryBatch bad = MakeBatch(g, 8, 3);
+  bad.Add(0, g.num_vertices(), LabelSeq{0});
+  EXPECT_THROW(service.Execute(bad), std::invalid_argument);
+  EXPECT_EQ(service.stats().batches, before.batches);
+  EXPECT_EQ(service.stats().queries, before.queries);
 }
 
 TEST(ServiceAdmissionTest, QueueHighWaterMarkSheds) {
@@ -628,6 +693,63 @@ TEST(ServiceBreakerTest, BrokenShardDegradesToExactComposedAnswers) {
   EXPECT_TRUE(degraded.all_ok());
   EXPECT_EQ(degraded.answers, want);
   EXPECT_GT(degraded.num_degraded, 0u);
+}
+
+/// With exec_probes_per_job = 3 and every (shard, constraint) group a
+/// multiple of three probes, every shard kernel job spans three probes: an
+/// error on the second failpoint hit degrades exactly one job's span to
+/// the index-free path, and every answer stays exact, at any thread count.
+TEST(ServiceBreakerTest, FailedShardJobDegradesExactlyItsSpan) {
+  FailpointGuard guard;
+  const DiGraph g = RandomGraph(200, 800, 4, 21);
+  const RlcIndex oracle = BuildRlcIndex(g, 2);
+  for (const uint32_t threads : {1u, 4u}) {
+    ServiceOptions options = RobustOpts();
+    options.exec_threads = threads;
+    options.exec_probes_per_job = 3;
+    ShardedRlcService service(g, options);
+    const GraphPartition& part = service.partition();
+    std::vector<std::vector<VertexId>> members(part.num_shards());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      members[part.ShardOf(v)].push_back(v);
+    }
+    QueryBatch batch;
+    Rng rng(23);
+    size_t kernel_jobs = 0;
+    for (uint32_t shard = 0; shard < part.num_shards(); ++shard) {
+      for (Label a = 0; a < g.num_labels(); ++a) {
+        if (service.shard_index(shard).FindMr(LabelSeq{a}) == kInvalidMrId) {
+          continue;
+        }
+        ++kernel_jobs;
+        const std::vector<VertexId>& home = members[shard];
+        for (int i = 0; i < 3; ++i) {
+          batch.Add(home[rng.Below(home.size())],
+                    home[rng.Below(home.size())], LabelSeq{a});
+        }
+      }
+    }
+    ASSERT_GE(kernel_jobs, 2u);
+    while (batch.num_probes() < 3 * kernel_jobs + 24) {  // cross-shard
+      const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.Below(g.num_vertices()));
+      if (part.ShardOf(s) == part.ShardOf(t)) continue;
+      batch.Add(s, t, LabelSeq{static_cast<Label>(rng.Below(g.num_labels()))});
+    }
+    Failpoints::Instance().Set(failpoints::kServeShardExecute,
+                               FailpointAction::kError, /*trigger_hit=*/2);
+    const AnswerBatch out = service.Execute(batch);
+    Failpoints::Instance().Clear();
+    EXPECT_EQ(out.num_degraded, 3u) << "threads=" << threads;
+    EXPECT_TRUE(out.all_ok());
+    for (size_t i = 0; i < batch.num_probes(); ++i) {
+      const BatchProbe& p = batch.probes()[i];
+      EXPECT_EQ(out.statuses[i], ProbeStatus::kOk) << i;
+      EXPECT_EQ(out.answers[i],
+                oracle.Query(p.s, p.t, batch.sequence(p.seq_id)) ? 1 : 0)
+          << "threads=" << threads << " probe " << i;
+    }
+  }
 }
 
 TEST(ServiceBreakerTest, BreakerReclosesAfterCleanTrial) {
