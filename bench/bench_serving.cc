@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -401,26 +402,40 @@ int main(int argc, char** argv) {
       const AnswerBatch got = cservice.Execute(cbatch);
       const bool agree = got.answers == cexpected;
       all_agree = all_agree && agree;
-      const ServiceStats cs = cservice.stats();
+      const auto first = cservice.metrics().Snapshot();
+      const auto counter = [&first](std::string_view metric) -> uint64_t {
+        const auto* c = first.FindCounter(metric);
+        return c == nullptr ? 0 : c->value;
+      };
+      const uint64_t queries = counter("serve.queries");
+      const uint64_t composed = counter("serve.compose.probes");
+      const uint64_t skeleton_hops = counter("serve.compose.skeleton_hops");
+      const uint64_t cross_hops = counter("serve.compose.cross_hops");
+      const uint64_t table_builds = counter("serve.compose.table_builds");
       const double intra_share =
-          cs.queries == 0 ? 0.0
-                          : static_cast<double>(cs.intra_true + cs.intra_miss) /
-                                static_cast<double>(cs.queries);
+          queries == 0 ? 0.0
+                       : static_cast<double>(counter("serve.intra_true") +
+                                             counter("serve.intra_miss")) /
+                             static_cast<double>(queries);
       const char* name =
           policy == PartitionPolicy::kHash ? "hash" : "range_ordered";
       std::printf("community/%-13s: intra_shard_share %.3f, composed %llu, "
-                  "skeleton hops %llu, answers %s\n",
-                  name, intra_share,
-                  static_cast<unsigned long long>(cs.compose_probes),
-                  static_cast<unsigned long long>(cs.compose_skeleton_hops),
+                  "skeleton hops %llu, cross hops %llu, table builds %llu, "
+                  "answers %s\n",
+                  name, intra_share, static_cast<unsigned long long>(composed),
+                  static_cast<unsigned long long>(skeleton_hops),
+                  static_cast<unsigned long long>(cross_hops),
+                  static_cast<unsigned long long>(table_builds),
                   agree ? "ok" : "MISMATCH");
       json.AddRecord()
           .Set("record", "community")
           .Set("policy", name)
           .Set("shards", shards)
           .Set("intra_shard_share", intra_share)
-          .Set("compose_probes", cs.compose_probes)
-          .Set("compose_skeleton_hops", cs.compose_skeleton_hops)
+          .Set("compose_probes", composed)
+          .Set("compose_skeleton_hops", skeleton_hops)
+          .Set("compose_cross_hops", cross_hops)
+          .Set("compose_table_builds", table_builds)
           .Set("agree", agree);
 
       // Composed-probe latency percentiles at equal shard count: the

@@ -31,24 +31,29 @@ With --serving (for BENCH_serving.json), additionally:
      row-build DFS visits at least its start state, so fewer states than
      builds means a build went uncounted or the counter stopped being
      exported,
- 11. tier conservation: every mode record carrying routing telemetry
+ 11. hop conservation: when serve.compose.skeleton_hops > 0, a
+     serve.compose.cross_hops record exists and is >= skeleton_hops —
+     every popped skeleton entry was generated by a cross hop first, so
+     more pops than hops means a hop went uncounted or the counter stopped
+     being exported,
+ 12. tier conservation: every mode record carrying routing telemetry
      (intra_true) has intra_true + cross_refuted + compose_probes == probes
      (and queries == probes when it reports queries) — on the fault-free
      throughput phases every probe ends in exactly one tier,
- 12. one router: the scalar_service and batched_service mode records exist
+ 13. one router: the scalar_service and batched_service mode records exist
      and carry identical tier counts (queries, intra_true, intra_miss,
      cross_refuted, compose_probes) — ShardedRlcService::Query is a
      one-probe Execute, so the two modes cannot route a probe differently.
 
 With --compose-p95 RATIO (nightly, for BENCH_serving.json), additionally:
- 13. both {"record": "compose_p95"} policies (hash, range_ordered) exist
+ 14. both {"record": "compose_p95"} policies (hash, range_ordered) exist
      with samples, and p95(hash) <= RATIO * p95(range_ordered) — the
      composed-probe tail under the composition-heavy hash partitioning
      stays within RATIO of the locality-friendly policy at equal shard
      count.
 
 With --memory N (for BENCH_serving.json from an N-shard run), additionally:
-  14. a {"record": "memory"} summary exists whose
+  15. a {"record": "memory"} summary exists whose
       aggregate_shard_index_bytes / whole_index_bytes <= 1.3 / N — the
       sharded deployment actually divides index memory instead of
       duplicating it.
@@ -112,8 +117,9 @@ def check_serving(path: str, records: list) -> None:
                 fail(f"{path}: record {rec.get('record') or rec.get('mode')!r} "
                      "disagrees with the whole-graph oracle")
 
-    # Row-build conservation, per registry (records carry their source):
-    # every row-build DFS visits at least its start state.
+    # Row-build and hop conservation, per registry (records carry their
+    # source): every row-build DFS visits at least its start state, and
+    # every popped skeleton entry was pushed by a cross hop.
     by_source = {}
     for rec in records:
         if rec.get("record") == "metric" and rec.get("type") == "counter":
@@ -121,13 +127,17 @@ def check_serving(path: str, records: list) -> None:
                 rec.get("value", 0)
     for source, values in sorted(by_source.items(), key=lambda kv: str(kv[0])):
         builds = values.get("serve.compose.table_builds", 0)
-        if builds <= 0:
-            continue
         states = values.get("serve.compose.row_states")
-        if states is None or states < builds:
+        if builds > 0 and (states is None or states < builds):
             fail(f"{path}: source {source!r} has serve.compose.table_builds="
                  f"{builds} but serve.compose.row_states={states} — every "
                  "row build visits at least its start state")
+        pops = values.get("serve.compose.skeleton_hops", 0)
+        hops = values.get("serve.compose.cross_hops")
+        if pops > 0 and (hops is None or hops < pops):
+            fail(f"{path}: source {source!r} has serve.compose.skeleton_hops="
+                 f"{pops} but serve.compose.cross_hops={hops} — every "
+                 "popped skeleton entry was pushed by a cross hop")
 
     # Tier conservation per mode record, and one router for both service
     # modes.

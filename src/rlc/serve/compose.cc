@@ -14,8 +14,12 @@ namespace {
 /// What a product walk does with the state an edge reaches.
 enum class Arrival { kSeen, kFresh, kStop };
 
-/// How a product walk ended: it ran out of states, an arrival stopped it,
-/// or the deadline expired.
+/// What a product walk does with a dequeued state: skip it, expand it, or
+/// stop the walk.
+enum class Visit { kSkip, kExpand, kStop };
+
+/// How a product walk ended: it ran out of states, a pop or an arrival
+/// stopped it, or the deadline expired.
 enum class WalkEnd { kDone, kStopped, kTimedOut };
 
 /// Marks `pid` in a stamped visited array.
@@ -51,8 +55,8 @@ class DeadlineGate {
 /// (v, p), back to position p - 1 (positions mod j). `queue` holds the
 /// seeds, already marked by the caller, and ends up holding every state
 /// the walk reached. `pop(v, p)` runs on each dequeued state and says
-/// whether to expand it; `arrive(w, p)` marks the state an edge reaches and
-/// says whether to enqueue it or to stop the walk.
+/// whether to skip it, expand it or stop the walk; `arrive(w, p)` marks the
+/// state an edge reaches and says whether to enqueue it or to stop the walk.
 template <bool kReverse, typename Pop, typename Arrive>
 WalkEnd WalkShard(const DynamicRlcIndex& dyn, const LabelSeq& seq,
                   std::vector<uint64_t>& queue, DeadlineGate& gate, Pop&& pop,
@@ -62,7 +66,9 @@ WalkEnd WalkShard(const DynamicRlcIndex& dyn, const LabelSeq& seq,
     if (gate.Hit()) return WalkEnd::kTimedOut;
     const VertexId v = static_cast<VertexId>(queue[head] / j);
     const uint32_t p = static_cast<uint32_t>(queue[head] % j);
-    if (!pop(v, p)) continue;
+    const Visit visit = pop(v, p);
+    if (visit == Visit::kStop) return WalkEnd::kStopped;
+    if (visit == Visit::kSkip) continue;
     const uint32_t q = kReverse ? (p + j - 1) % j : p;
     const uint32_t np = kReverse ? q : (p + 1) % j;
     const bool done = dyn.ForEachEdge(v, seq[q], kReverse, [&](VertexId w) {
@@ -339,7 +345,11 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     return result;
   }
   DeadlineGate gate(deadline);
-  // Label-matched cross hop out of (u, q): push unseen skeleton entries.
+  // Label-matched cross hop out of (u, q): marks and pushes unseen skeleton
+  // entries. Returns true, pushing nothing more, when an entry lands on a
+  // state phase 2 marked: that state intra-reaches (t, 0), and the hop is
+  // the cross edge composition requires. acc_stamp carries this probe's
+  // stamp only once phase 2 has run, so phase-1 hops never accept here.
   const auto emit_cross = [&](VertexId u, uint32_t q) {
     const Label l = plan.seq[q];
     const uint32_t nq = (q + 1) % j;
@@ -348,8 +358,11 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       const uint64_t npid = pid_of(nb.v, nq);
       if (scratch.exp_stamp[npid] == stamp) continue;
       scratch.exp_stamp[npid] = stamp;
+      ++result.cross_hops;
+      if (scratch.acc_stamp[npid] == stamp) return true;
       scratch.skel_queue.push_back(npid);
     }
+    return false;
   };
   // A table shard's bitsets over its boundary product states, laid out
   // like BoundaryRow::bits.
@@ -369,35 +382,45 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     return covered;
   };
   // Scans `row` of table shard `sh`: ORs it into the covered set (and into
-  // `tested`, when given) and emits the cross hops of the bits it adds.
+  // `tested`, when given) and queues each word's newly covered bits as an
+  // exit word; their cross hops wait until the skeleton walk needs them.
   // With `stop`, returns true as soon as a word of the row meets it.
   const auto scan_row = [&](uint32_t sh, const BoundaryRow& row,
                             const std::vector<uint64_t>* stop,
                             std::vector<uint64_t>* tested) {
     std::vector<uint64_t>& covered = covered_of(sh);
-    const ShardInfo& shard = partition_.shard(sh);
     for (size_t w = 0; w < row.bits.size(); ++w) {
       if (stop != nullptr && (row.bits[w] & (*stop)[w]) != 0) return true;
       if (tested != nullptr) (*tested)[w] |= row.bits[w];
-      uint64_t fresh = row.bits[w] & ~covered[w];
+      const uint64_t fresh = row.bits[w] & ~covered[w];
+      if (fresh == 0) continue;
       covered[w] |= fresh;
-      while (fresh != 0) {
-        const uint32_t bit =
-            static_cast<uint32_t>(w * 64) + std::countr_zero(fresh);
-        fresh &= fresh - 1;
-        emit_cross(partition_.GlobalOf(sh, shard.boundary[bit / j]), bit % j);
+      scratch.exit_queue.push_back({sh, static_cast<uint32_t>(w), fresh});
+    }
+    return false;
+  };
+  // Emits the cross hops of one queued exit word's boundary states; true
+  // when a hop accepts.
+  const auto emit_exits = [&](const Scratch::ExitWord& exits) {
+    const ShardInfo& shard = partition_.shard(exits.shard);
+    for (uint64_t bits = exits.bits; bits != 0; bits &= bits - 1) {
+      const uint32_t bit = exits.word * 64 + std::countr_zero(bits);
+      if (emit_cross(partition_.GlobalOf(exits.shard, shard.boundary[bit / j]),
+                     bit % j)) {
+        return true;
       }
     }
     return false;
   };
   // Forward walk of shard `sh` from its local state (lv, p), which the
   // caller has marked: marks global states in `stamps` and emits the cross
-  // hops of every state it expands. An edge arriving at (intra_target, 0)
-  // stops it (kInvalidVertex: never). With `at_rows` (a table shard), a
-  // boundary state that a row the probe scanned covers is not expanded,
-  // and neither is one whose row is already built: the walk scans that
-  // row, which holds every boundary state the state intra-reaches. The
-  // walk builds no row; a boundary state without one is expanded.
+  // hops of every state it expands; a hop that accepts stops it. An edge
+  // arriving at (intra_target, 0) stops it too (kInvalidVertex: never).
+  // With `at_rows` (a table shard), a boundary state that a row the probe
+  // scanned covers is not expanded, and neither is one whose row is
+  // already built: the walk scans that row, which holds every boundary
+  // state the state intra-reaches. The walk builds no row; a boundary
+  // state without one is expanded.
   const auto walk_forward = [&](uint32_t sh, VertexId lv, uint32_t p,
                                 std::vector<uint32_t>& stamps,
                                 VertexId intra_target, bool at_rows) {
@@ -409,14 +432,14 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
           const int32_t ord = at_rows ? (*sp.boundary_ord)[lu] : -1;
           if (ord >= 0) {
             const uint32_t row_idx = static_cast<uint32_t>(ord) * j + q;
-            if (has_bit(covered_of(sh), row_idx)) return false;
+            if (has_bit(covered_of(sh), row_idx)) return Visit::kSkip;
             if (const BoundaryRow* row = sp.Row(row_idx)) {
               scan_row(sh, *row, nullptr, nullptr);
-              return false;
+              return Visit::kSkip;
             }
           }
-          emit_cross(partition_.GlobalOf(sh, lu), q);
-          return true;
+          return emit_cross(partition_.GlobalOf(sh, lu), q) ? Visit::kStop
+                                                            : Visit::kExpand;
         },
         [&](VertexId lw, uint32_t np) {
           if (np == 0 && lw == intra_target) return Arrival::kStop;
@@ -432,8 +455,9 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   // scans those rows, except with need_intra: an edge arriving at (t, 0)
   // is then a purely intra-shard witness, which only a full walk finds.
   // Arrival, never the seed itself, enforces the >= 1-edge requirement, so
-  // s == t demands a genuine aligned cycle.
+  // s == t demands a genuine aligned cycle. Scanned rows queue exit words.
   scratch.skel_queue.clear();
+  scratch.exit_queue.clear();
   scratch.fwd_stamp[pid_of(s, 0)] = stamp;
   const WalkEnd fwd = walk_forward(
       ss, partition_.LocalOf(s), 0, scratch.fwd_stamp,
@@ -444,7 +468,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     result.timed_out = fwd == WalkEnd::kTimedOut;
     return result;
   }
-  if (scratch.skel_queue.empty()) return result;
+  if (scratch.skel_queue.empty() && scratch.exit_queue.empty()) return result;
 
   // Phase 2 — target-shard prefix: reverse walk from (t, 0) inside
   // shard(t) marks states that intra-reach (t, 0). Over budget it marks
@@ -460,12 +484,12 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   const WalkEnd acc = WalkShard</*kReverse=*/true>(
       *shards_[st], plan.seq, scratch.walk_queue, gate,
       [&](VertexId lv, uint32_t q) {
-        if (!dst_plan.tables) return true;
+        if (!dst_plan.tables) return Visit::kExpand;
         const int32_t ord = (*dst_plan.boundary_ord)[lv];
-        if (ord < 0) return true;
+        if (ord < 0) return Visit::kExpand;
         const uint64_t bit = static_cast<uint64_t>(ord) * j + q;
         scratch.stop[bit / 64] |= uint64_t{1} << (bit % 64);
-        return false;
+        return Visit::kSkip;
       },
       [&](VertexId lw, uint32_t q) {
         return Mark(scratch.acc_stamp, pid_of(partition_.GlobalOf(st, lw), q),
@@ -477,19 +501,32 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     return result;
   }
 
-  // Phase 3 — skeleton BFS. An entry into shard(t) accepts at pop time if
-  // phase 2 marked it (over budget: it lies in A; in a table shard: it
-  // lies in Stop) or, in a table shard, if its row meets Stop. Over budget
-  // that is complete because A is intra-closed: any state an expansion
-  // marks inside shard(t) that lies in A puts its own entry in A, and that
-  // entry's pop already answered true (so exp-stamp dedup of later entries
-  // cannot hide an accepting one).
-  for (size_t head = 0; head < scratch.skel_queue.size(); ++head) {
+  // Phase 3 — skeleton BFS. Pending entries pop first; only when none is
+  // left does the walk pop one queued exit word and emit its cross hops.
+  // From here on a hop accepts as it lands on a state phase 2 marked (over
+  // budget: in A; in a table shard: in Stop). Entries pushed in phase 1
+  // were not tested at push, so an entry into shard(t) also accepts at pop
+  // if phase 2 marked it or, in a table shard, if its row meets Stop. Over
+  // budget that is complete because A is intra-closed: any state an
+  // expansion marks inside shard(t) that lies in A puts its own entry in
+  // A, and that entry's push or pop already answered true (so exp-stamp
+  // dedup of later entries cannot hide an accepting one).
+  size_t head = 0;
+  size_t exit_head = 0;
+  while (head < scratch.skel_queue.size() ||
+         exit_head < scratch.exit_queue.size()) {
     if (gate.Hit()) {
       result.timed_out = true;
       return result;
     }
-    const uint64_t pid = scratch.skel_queue[head];
+    if (head == scratch.skel_queue.size()) {
+      if (emit_exits(scratch.exit_queue[exit_head++])) {
+        result.reachable = true;
+        return result;
+      }
+      continue;
+    }
+    const uint64_t pid = scratch.skel_queue[head++];
     const VertexId v = static_cast<VertexId>(pid / j);
     const uint32_t p = static_cast<uint32_t>(pid % j);
     ++result.skeleton_hops;
@@ -506,7 +543,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       const int32_t ord = (*sp.boundary_ord)[partition_.LocalOf(v)];
       const uint32_t row_idx = static_cast<uint32_t>(ord) * j + p;
       // A covered entry lies in a scanned row, so its own row is a subset
-      // of that row and every exit it holds was already emitted. A
+      // of that row and every exit it holds is already queued. A
       // shard(t) entry also needs its Stop test, which only a tested row
       // settles: when shard(s) is shard(t), phase-1 rows cover entries
       // that may still head a cross path into t, so the skip reads
@@ -523,10 +560,13 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       // Over-budget shard: expand the product graph on the fly. exp_stamp
       // is shared across every entry into this shard within the probe (the
       // entry itself was marked when its cross hop was emitted), so the
-      // shard's product graph is walked at most once per probe.
-      if (walk_forward(sv, partition_.LocalOf(v), p, scratch.exp_stamp,
-                       kInvalidVertex, false) == WalkEnd::kTimedOut) {
-        result.timed_out = true;
+      // shard's product graph is walked at most once per probe. A hop
+      // that accepts stops the walk.
+      const WalkEnd end = walk_forward(sv, partition_.LocalOf(v), p,
+                                       scratch.exp_stamp, kInvalidVertex, false);
+      if (end != WalkEnd::kDone) {
+        result.reachable = end == WalkEnd::kStopped;
+        result.timed_out = end == WalkEnd::kTimedOut;
         return result;
       }
     }

@@ -15,16 +15,19 @@
 //      intra-shard witness is exactly the shard index's job. When shard(s)
 //      has transition tables (below), the walk does not expand a boundary
 //      state whose row is already built: it scans the row instead — every
-//      boundary state the state intra-reaches, itself included — and emits
-//      the cross hops of the row's bits. Only boundary states carry cross
-//      edges, so that finds the same seeds. Phase 1 builds no row (a
-//      boundary state without one is expanded like an interior state): a
-//      build for every boundary state the walk meets makes rows for states
-//      no skeleton enters, which grew the row cache far more than it saved
-//      walk work (src/rlc/serve/README.md has the numbers). A degraded
-//      probe, whose shard index is unavailable, asks for intra witnesses
-//      too (`need_intra`): the walk is then always full and also accepts
-//      when an edge arrives at (t, 0), so the probe walks its shard once.
+//      boundary state the state intra-reaches, itself included — and queues
+//      the row's words as exit words, whose cross hops phase 3 emits when
+//      it needs them. Only boundary states carry cross edges, so that finds
+//      the same seeds. Phase 1 never accepts: a probe whose walk neither
+//      pushed an entry nor queued an exit word is false. Phase 1 builds no
+//      row (a boundary state without one is expanded like an interior
+//      state): a build for every boundary state the walk meets makes rows
+//      for states no skeleton enters, which grew the row cache far more
+//      than it saved walk work (src/rlc/serve/README.md has the numbers).
+//      A degraded probe, whose shard index is unavailable, asks for intra
+//      witnesses too (`need_intra`): the walk is then always full and also
+//      accepts when an edge arrives at (t, 0), so the probe walks its
+//      shard once.
 //   2. target-shard prefix: a reverse product walk from (t, 0) inside
 //      shard(t). Over the table budget it marks the accept set A — every
 //      product state that intra-reaches (t, 0) — and a skeleton entry into
@@ -35,7 +38,11 @@
 //      them into the per-probe set Stop; an entry answers true iff its own
 //      bit is in Stop or its row meets Stop (tested word-parallel while the
 //      row is scanned). Any path from an entry to (t, 0) has a last
-//      boundary state, which lies in Stop and in the entry's row.
+//      boundary state, which lies in Stop and in the entry's row. Either
+//      way every state the walk marks intra-reaches (t, 0), so from here on
+//      a cross hop that lands on a marked state answers true at push (the
+//      goal test at generation): the hop is the one cross edge composition
+//      requires. Entries phase 1 pushed are still tested at pop.
 //   3. skeleton hops: a BFS over boundary product states alternates
 //      intra-shard closure with label-matched cross-edge hops. Closure
 //      inside a shard comes from its per-(shard, constraint) boundary
@@ -54,19 +61,30 @@
 //      the component's one row object. A later build never re-enters a
 //      finished state; it ORs in that state's row. Table hops dedup exits
 //      word-parallel: the probe ORs every scanned row into a per-shard
-//      covered set and emits cross hops only for the bits a row adds to
-//      it. An entry whose own bit is already covered is skipped without
-//      reading its row: the row that covered it starts at a state that
-//      intra-reaches the entry, so it already holds the entry's whole row.
-//      Rows phase 1 scans join the covered set of shard(s) as well. The
-//      trap is shard(s) == shard(t): a phase-1 row can cover an entry that
-//      heads a genuine cross path into t, and its Stop test was never run
-//      (phase 1 must not accept an intra-only path). So a shard(t) entry
-//      is skipped only when a row of an entry already tested against Stop
-//      covers it — a subset of a row that misses Stop misses it too.
+//      covered set and queues, per row word, only the bits the row adds to
+//      it — an exit word. Hops are lazy: the walk pops pending entries
+//      first and pops one exit word, emitting its bits' cross hops, only
+//      when no entry is left, so a probe that accepts early never emits
+//      the hops of exits it did not need. An entry whose own bit is already
+//      covered is skipped without reading its row: the row that covered it
+//      starts at a state that intra-reaches the entry, so it already holds
+//      the entry's whole row, and the row's exit words are queued even
+//      where not yet popped. Rows phase 1 scans join the covered set of
+//      shard(s) as well. The trap is shard(s) == shard(t): a phase-1 row
+//      can cover an entry that heads a genuine cross path into t, and its
+//      Stop test was never run (phase 1 must not accept an intra-only
+//      path). So a shard(t) entry is skipped only when a row of an entry
+//      already tested against Stop covers it — a subset of a row that
+//      misses Stop misses it too.
 //
 // Which walks stay full: over-budget shards walk their product graphs
-// state by state in every phase, and so does phase 1 with need_intra.
+// state by state in every phase, and so does phase 1 with need_intra. An
+// over-budget phase-3 walk emits its states' cross hops as it expands them
+// and stops at the first hop that accepts.
+//
+// Deadlines: one DeadlineGate per probe reads the clock once per
+// kDeadlineCheckStride pops, counting walk states, skeleton entries and
+// exit words alike (an exit word emits at most 64 states' hops).
 //
 // The three per-probe intra-shard traversals — the source-shard suffix,
 // the reverse target-shard prefix and on-the-fly expansion — are one
@@ -136,10 +154,17 @@ struct ComposeResult {
   bool reachable = false;
   /// The deadline expired mid-traversal: `reachable` is meaningless, the
   /// probe carries no answer. Overrun is bounded by one deadline-check
-  /// stride (kDeadlineCheckStride pops) or one row build (one DFS, which
-  /// visits only states the start reaches).
+  /// stride (kDeadlineCheckStride pops of walk states, skeleton entries or
+  /// exit words) or one row build (one DFS, which visits only states the
+  /// start reaches).
   bool timed_out = false;
   uint32_t skeleton_hops = 0;  ///< skeleton entries popped
+  /// Skeleton entries the probe's cross hops generated: every unseen
+  /// label-matched cross-edge head, pushed onto the skeleton queue — or,
+  /// for the hop that accepts on arrival, counted and not pushed. So
+  /// skeleton_hops <= cross_hops. Scanned rows' exits count only once
+  /// their exit word is popped.
+  uint32_t cross_hops = 0;
   /// Product states the probe's own walks reached: the source-shard
   /// suffix, the target-shard prefix and on-the-fly expansion of
   /// over-budget shards. In a table shard the end walks count the boundary
@@ -160,9 +185,10 @@ struct ComposeResult {
 class CompositionEngine {
  public:
   /// Deadline granularity: traversal loops read the clock once per this
-  /// many pops/expansions, so deadline overrun inside a probe is bounded
-  /// by one stride (plus at most one row build: a DFS over states the
-  /// requested row's start reaches, never re-entering finished ones).
+  /// many pops (walk states, skeleton entries and exit words), so deadline
+  /// overrun inside a probe is bounded by one stride (plus at most one row
+  /// build: a DFS over states the requested row's start reaches, never
+  /// re-entering finished ones).
   static constexpr uint32_t kDeadlineCheckStride = 128;
 
   /// One boundary-transition row: bitset over the shard's boundary product
@@ -219,9 +245,9 @@ class CompositionEngine {
     std::vector<uint32_t> acc_stamp;   ///< target-shard accept set A
     std::vector<uint32_t> exp_stamp;   ///< skeleton + on-the-fly expansion
     /// Per table shard: union of the rows this probe scanned, laid out
-    /// like BoundaryRow::bits. Every covered exit already emitted its
-    /// cross hops, and a popped entry whose own bit is covered needs no
-    /// row of its own.
+    /// like BoundaryRow::bits. Every covered exit sits in an exit word
+    /// (queued or already emitted), and a popped entry whose own bit is
+    /// covered needs no row of its own.
     std::vector<std::vector<uint64_t>> covered;
     /// Per shard: the probe stamp `covered` was last cleared for (cleared
     /// lazily, on the probe's first row scan in the shard).
@@ -233,9 +259,21 @@ class CompositionEngine {
     std::vector<uint64_t> stop;
     std::vector<uint64_t> tested;
     uint32_t stamp = 0;
+    /// One word of a scanned row whose newly covered bits' cross hops are
+    /// not emitted yet: `bits` is word `word` of table shard `shard`'s
+    /// bitset over its boundary product states.
+    struct ExitWord {
+      uint32_t shard;
+      uint32_t word;
+      uint64_t bits;
+    };
     /// Queue of the probe's current intra walk (one runs at a time).
     std::vector<uint64_t> walk_queue;
+    /// Skeleton entries (global product states) and the exit words of the
+    /// rows the probe scanned; phase 3 pops an exit word only when no
+    /// entry is pending.
     std::vector<uint64_t> skel_queue;
+    std::vector<ExitWord> exit_queue;
   };
 
   /// `partition` and `shards` must outlive the engine; `shards` is the

@@ -24,6 +24,7 @@ ShardedRlcService::ServiceCounters::ServiceCounters(obs::Registry& reg)
       cross_refuted(reg.GetCounter("serve.cross_refuted")),
       compose_probes(reg.GetCounter("serve.compose.probes")),
       compose_skeleton_hops(reg.GetCounter("serve.compose.skeleton_hops")),
+      compose_cross_hops(reg.GetCounter("serve.compose.cross_hops")),
       compose_table_builds(reg.GetCounter("serve.compose.table_builds")),
       compose_row_states(reg.GetCounter("serve.compose.row_states")),
       compose_invalidations(reg.GetCounter("serve.compose.invalidations")),
@@ -789,6 +790,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         uint32_t begin = 0;
         uint32_t end = 0;
         uint64_t hops = 0;
+        uint64_t cross_hops = 0;
         uint64_t expanded = 0;
         uint64_t rows_built = 0;
         uint64_t row_states = 0;
@@ -843,6 +845,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
                 p.s, p.t, *plans[p.seq_id], scratch, probe_deadline,
                 route[i] == kDegrade);
             jb.hops += r.skeleton_hops;
+            jb.cross_hops += r.cross_hops;
             jb.expanded += r.expanded;
             jb.rows_built += r.table_rows_built;
             jb.row_states += r.row_states;
@@ -888,9 +891,11 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         }
       }
 
-      uint64_t hops = 0, expanded = 0, rows_built = 0, row_states = 0;
+      uint64_t hops = 0, cross_hops = 0, expanded = 0, rows_built = 0,
+               row_states = 0;
       for (const ComposeJob& jb : compose_jobs) {
         hops += jb.hops;
+        cross_hops += jb.cross_hops;
         expanded += jb.expanded;
         rows_built += jb.rows_built;
         row_states += jb.row_states;
@@ -901,6 +906,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         any_failed = any_failed || jb.failed;
       }
       c_.compose_skeleton_hops.Add(hops);
+      c_.compose_cross_hops.Add(cross_hops);
       c_.compose_expanded.Add(expanded);
       if (rows_built > 0) {
         c_.compose_table_builds.Add(rows_built);

@@ -430,6 +430,7 @@ class ShardedRlcService {
     obs::Counter& cross_refuted;
     obs::Counter& compose_probes;        ///< serve.compose.probes
     obs::Counter& compose_skeleton_hops; ///< serve.compose.skeleton_hops
+    obs::Counter& compose_cross_hops;    ///< serve.compose.cross_hops
     obs::Counter& compose_table_builds;  ///< serve.compose.table_builds
     obs::Counter& compose_row_states;    ///< serve.compose.row_states
     obs::Counter& compose_invalidations; ///< serve.compose.invalidations

@@ -32,6 +32,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "rlc/core/indexer.h"
@@ -830,6 +831,167 @@ TEST(SameShardTrapTest, PhaseOneRowNeverSkipsAStopTest) {
     EXPECT_TRUE(ComposeA(edges, 0, 2, budget));  // 0 -> 1 -> 4 -> 1 -> 3 -> 2
     edges.pop_back();
     EXPECT_FALSE(ComposeA(edges, 0, 2, budget));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy skeleton hops: a scanned row queues its exit words, which emit their
+// cross hops only once no skeleton entry is pending, and after phase 2 a
+// hop that lands on a state phase 2 marked answers at push. Each case runs
+// on a kRange graph over 8 vertices and 2 shards, {0..3} | {4..7}, under a+
+// with table budgets {default, 1}, and checks every pair, cold and warm,
+// against two whole-graph oracles.
+
+/// Composition without need_intra on the whole graph: a product BFS over
+/// states (v, p, crossed) from (s, 0, no), accepting (t, 0, yes) — a walk
+/// spelling seq^z (z >= 1) with at least one cross-shard edge.
+bool CrossWitness(VertexId n, const std::vector<Edge>& edges,
+                  const GraphPartition& part, VertexId s, VertexId t,
+                  const LabelSeq& seq) {
+  const uint32_t j = seq.size();
+  const auto id = [&](VertexId v, uint32_t p, bool crossed) {
+    return (static_cast<size_t>(v) * j + p) * 2 + (crossed ? 1 : 0);
+  };
+  std::vector<bool> seen(static_cast<size_t>(n) * j * 2, false);
+  std::vector<std::tuple<VertexId, uint32_t, bool>> queue = {{s, 0, false}};
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const auto [v, p, crossed] = queue[head];
+    for (const Edge& e : edges) {
+      if (e.src != v || e.label != seq[p]) continue;
+      const uint32_t np = (p + 1) % j;
+      const bool nc = crossed || part.ShardOf(e.src) != part.ShardOf(e.dst);
+      if (nc && np == 0 && e.dst == t) return true;
+      if (!seen[id(e.dst, np, nc)]) {
+        seen[id(e.dst, np, nc)] = true;
+        queue.emplace_back(e.dst, np, nc);
+      }
+    }
+  }
+  return false;
+}
+
+class LazyHopHarness {
+ public:
+  LazyHopHarness(std::vector<Edge> edges, uint32_t budget)
+      : edges_(std::move(edges)),
+        parts_(MakeParts(DiGraph(8, edges_, 1), 2, PartitionPolicy::kRange)),
+        engine_(parts_.partition, parts_.shards, Options(budget)),
+        plan_(engine_.PreparePlan(LabelSeq{kA})) {
+    EXPECT_EQ(parts_.partition.ShardOf(3), 0u);
+    EXPECT_EQ(parts_.partition.ShardOf(4), 1u);
+    EXPECT_EQ(plan_.shards[0]->tables,
+              budget == ComposeOptions{}.table_budget_nodes);
+  }
+
+  ComposeResult Probe(VertexId s, VertexId t, bool need_intra = false) {
+    return engine_.ComposedQuery(s, t, plan_, scratch_, Deadline{},
+                                 need_intra);
+  }
+
+  /// Every pair, twice (the first round builds the rows that later walks
+  /// scan): need_intra answers equal the whole-graph index, composed
+  /// answers the cross-witness BFS, and each composed probe pops no more
+  /// entries than its hops generated.
+  void ExpectOracle() {
+    const RlcIndex oracle = BuildSealed(DiGraph(8, edges_, 1), 2);
+    const LabelSeq seq{kA};
+    for (int round = 0; round < 2; ++round) {
+      for (VertexId s = 0; s < 8; ++s) {
+        for (VertexId t = 0; t < 8; ++t) {
+          EXPECT_EQ(Probe(s, t, true).reachable, oracle.Query(s, t, seq))
+              << "need_intra round=" << round << " s=" << s << " t=" << t;
+          const ComposeResult r = Probe(s, t);
+          EXPECT_EQ(r.reachable,
+                    CrossWitness(8, edges_, parts_.partition, s, t, seq))
+              << "round=" << round << " s=" << s << " t=" << t;
+          EXPECT_LE(r.skeleton_hops, r.cross_hops);
+        }
+      }
+    }
+  }
+
+ private:
+  static ComposeOptions Options(uint32_t budget) {
+    ComposeOptions options;
+    options.table_budget_nodes = budget;
+    return options;
+  }
+
+  std::vector<Edge> edges_;
+  EngineParts parts_;
+  CompositionEngine engine_;
+  const CompositionEngine::Plan& plan_;
+  CompositionEngine::Scratch scratch_;
+};
+
+constexpr uint32_t kLazyHopBudgets[] = {ComposeOptions{}.table_budget_nodes,
+                                        1u};
+
+TEST(LazyHopTest, FirstHopOutOfTheSourceRowAcceptsAtPush) {
+  // 0 -> 4 -> 6 -> 7 and 0 -> 4 -> 5 -> 1 -> 2, with 5 -> 0 back.
+  for (const uint32_t budget : kLazyHopBudgets) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    const bool tables = budget != 1;
+    LazyHopHarness h({{0, 4, kA}, {4, 6, kA}, {6, 7, kA}, {4, 5, kA},
+                      {5, 1, kA}, {5, 0, kA}, {1, 2, kA}},
+                     budget);
+    h.ExpectOracle();
+    // Warm, phase 1 scans the built row of (0, 0) and queues its exit
+    // word. Phase 2 marks (7, 0), (6, 0) and (4, 0); the word's one hop
+    // 0 -> 4 lands on (4, 0) and answers before any entry is popped. Over
+    // budget phase 1 pushes (4, 0) itself, and phase 1 never accepts at
+    // push: the answer comes at its pop.
+    const ComposeResult r = h.Probe(0, 7);
+    EXPECT_TRUE(r.reachable);
+    EXPECT_EQ(r.skeleton_hops, tables ? 0u : 1u);
+    EXPECT_EQ(r.cross_hops, 1u);
+    // Into shard 0: the one entry (4, 0) is popped, and its walk's hop
+    // 5 -> 1 lands on (1, 0), which phase 2 marked — before 5 -> 0's
+    // entry is ever popped.
+    const ComposeResult back = h.Probe(0, 2);
+    EXPECT_TRUE(back.reachable);
+    EXPECT_EQ(back.skeleton_hops, 1u);
+  }
+}
+
+TEST(LazyHopTest, CoveredEntryWaitsForItsQueuedExitWord) {
+  // 0 crosses into 4 and 5; 4 -> 5 puts 5 in 4's row; 5's exit 5 -> 2
+  // comes back into shard 0, where 2 -> 3.
+  for (const uint32_t budget : kLazyHopBudgets) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    LazyHopHarness h({{0, 4, kA}, {0, 5, kA}, {4, 5, kA}, {5, 2, kA},
+                      {2, 3, kA}},
+                     budget);
+    if (budget != 1) {
+      // Cold: entry (4, 0) scans its row {4, 5} and queues the exit word;
+      // entry (5, 0) is popped while that word is still queued, and is
+      // skipped as covered without a row. Only the word's hop 5 -> 2 then
+      // reaches shard 0, landing on (2, 0), which phase 2 marked.
+      const ComposeResult r = h.Probe(0, 3);
+      EXPECT_TRUE(r.reachable);
+      EXPECT_EQ(r.skeleton_hops, 2u);
+      EXPECT_EQ(r.table_rows_built, 1u);
+      EXPECT_EQ(r.cross_hops, 3u);
+    }
+    h.ExpectOracle();
+  }
+}
+
+TEST(LazyHopTest, SameShardIntraOnlyWitnessStaysFalse) {
+  // 0 -> 1 -> 2 inside shard 0 is the only witness into 2: 2 -> 4 -> 3
+  // leaves and comes back to 3, which does not reach 2. 5 -> 2 lets a
+  // probe from 5 build the row of (2, 0).
+  for (const uint32_t budget : kLazyHopBudgets) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    LazyHopHarness h({{0, 1, kA}, {1, 2, kA}, {2, 4, kA}, {4, 3, kA},
+                      {5, 2, kA}},
+                     budget);
+    h.ExpectOracle();
+    // Warm, phase 1 scans the row of (2, 0) and queues (2, 0) as an exit
+    // while (2, 0) is in Stop: only the hop's landing state may accept.
+    EXPECT_FALSE(h.Probe(0, 2).reachable);
+    EXPECT_TRUE(h.Probe(0, 2, true).reachable);
+    EXPECT_TRUE(h.Probe(0, 3).reachable);
   }
 }
 
