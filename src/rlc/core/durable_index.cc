@@ -111,6 +111,12 @@ std::vector<EdgeUpdate> GetUpdates(SnapReader& r, const char* what) {
   return updates;
 }
 
+bool Lists(const DurabilityManifest& m, uint64_t gen) {
+  return std::any_of(
+      m.generations.begin(), m.generations.end(),
+      [&](const SnapshotGeneration& g) { return g.generation == gen; });
+}
+
 }  // namespace
 
 std::vector<uint64_t> ListGenerationFiles(const std::string& dir,
@@ -218,42 +224,45 @@ LoadedSnapshot LoadSnapshotFile(const std::string& path) {
   return snap;
 }
 
-DurableDynamicIndex::DurableDynamicIndex(
-    const DiGraph& g, DurabilityOptions opts,
-    const std::function<RlcIndex()>& build_base, ResealPolicy policy)
-    : g_(g), opts_(std::move(opts)) {
-  RLC_REQUIRE(!opts_.dir.empty(), "DurableDynamicIndex: opts.dir must be set");
+void WriteDynamicSnapshot(const std::string& path, uint64_t applied_lsn,
+                          const DynamicRlcIndex& dyn) {
+  WriteSnapshotFile(path, applied_lsn, dyn.inserted_edges(),
+                    dyn.removed_edges(), &dyn.index());
+}
+
+std::pair<std::unique_ptr<DynamicRlcIndex>, uint64_t> LoadDynamicSnapshot(
+    const std::string& path, const DiGraph& g, const ResealPolicy& policy) {
+  LoadedSnapshot snap = LoadSnapshotFile(path);
+  if (!snap.index) throw std::runtime_error(path + " has no embedded index");
+  auto dyn = std::make_unique<DynamicRlcIndex>(g, std::move(*snap.index), policy);
+  dyn->RestoreOverlay(snap.inserted, snap.removed);
+  return {std::move(dyn), snap.applied_lsn};
+}
+
+DurableStore::DurableStore(DurabilityOptions opts, std::string gen_prefix,
+                           std::string gen_suffix, std::string owner)
+    : opts_(std::move(opts)),
+      gen_prefix_(std::move(gen_prefix)),
+      gen_suffix_(std::move(gen_suffix)),
+      owner_(std::move(owner)) {
+  RLC_REQUIRE(!opts_.dir.empty(), owner_ << ": opts.dir must be set");
   std::error_code ec;
   fs::create_directories(opts_.dir, ec);
   if (ec) {
-    throw std::runtime_error("DurableDynamicIndex: cannot create " +
-                             opts_.dir + ": " + ec.message());
-  }
-  Recover(build_base, policy);
-  if (recovery_.recovered) ReplayWalTail(recovery_.generation);
-  // End every open at a clean generation boundary: the replayed state gets
-  // its own snapshot and a fresh WAL.
-  Checkpoint();
-  // Files whose generation the committed manifest no longer lists are
-  // leftovers of interrupted checkpoints/cleanups.
-  auto in_manifest = [&](uint64_t gen) {
-    for (const SnapshotGeneration& mg : manifest_.generations) {
-      if (mg.generation == gen) return true;
-    }
-    return false;
-  };
-  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "snapshot-", ".snap")) {
-    if (!in_manifest(gen)) fs::remove(SnapshotPath(opts_.dir, gen), ec);
-  }
-  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "wal-", ".log")) {
-    if (!in_manifest(gen)) fs::remove(WalPath(opts_.dir, gen), ec);
+    throw std::runtime_error(owner_ + ": cannot create " + opts_.dir + ": " +
+                             ec.message());
   }
 }
 
-DurableDynamicIndex::~DurableDynamicIndex() = default;
+std::string DurableStore::GenerationPath(uint64_t gen) const {
+  return opts_.dir + "/" + gen_prefix_ + std::to_string(gen) + gen_suffix_;
+}
 
-void DurableDynamicIndex::Recover(const std::function<RlcIndex()>& build_base,
-                                  const ResealPolicy& policy) {
+bool DurableStore::Recover(
+    const std::function<uint64_t(const std::string&)>& load,
+    const std::function<void()>& reset) {
+  const std::vector<uint64_t> on_disk =
+      ListGenerationFiles(opts_.dir, gen_prefix_, gen_suffix_);
   bool manifest_corrupt = false;
   try {
     manifest_ = ReadManifest(opts_.dir);
@@ -262,92 +271,76 @@ void DurableDynamicIndex::Recover(const std::function<RlcIndex()>& build_base,
     // applied_lsn, the manifest is only the generation list.
     manifest_corrupt = true;
     recovery_.fallback_reason = e.what();
-    const std::vector<uint64_t> gens =
-        ListGenerationFiles(opts_.dir, "snapshot-", ".snap");
-    for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
+    for (auto it = on_disk.rbegin(); it != on_disk.rend(); ++it) {
       manifest_.generations.push_back({*it, 0});
     }
   }
   for (const SnapshotGeneration& g : manifest_.generations) {
     max_gen_seen_ = std::max(max_gen_seen_, g.generation);
   }
-  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "snapshot-", ".snap")) {
-    max_gen_seen_ = std::max(max_gen_seen_, gen);
-  }
+  for (const uint64_t gen : on_disk) max_gen_seen_ = std::max(max_gen_seen_, gen);
   for (const uint64_t gen : ListGenerationFiles(opts_.dir, "wal-", ".log")) {
     max_gen_seen_ = std::max(max_gen_seen_, gen);
   }
+  if (manifest_.generations.empty()) return false;
 
-  if (manifest_.generations.empty()) {
-    dyn_ = std::make_unique<DynamicRlcIndex>(g_, build_base(), policy);
-    return;
-  }
-
-  std::string first_error = recovery_.fallback_reason;
   for (size_t i = 0; i < manifest_.generations.size(); ++i) {
     const uint64_t gen = manifest_.generations[i].generation;
     try {
-      LoadedSnapshot snap = LoadSnapshotFile(SnapshotPath(opts_.dir, gen));
-      if (!snap.index) {
-        throw std::runtime_error(SnapshotPath(opts_.dir, gen) +
-                                 " has no embedded index");
-      }
-      auto dyn =
-          std::make_unique<DynamicRlcIndex>(g_, std::move(*snap.index), policy);
-      dyn->RestoreOverlay(snap.inserted, snap.removed);
-      dyn_ = std::move(dyn);
-      last_lsn_ = snap.applied_lsn;
+      last_lsn_ = load(GenerationPath(gen));
       recovery_.recovered = true;
       recovery_.generation = gen;
-      recovery_.snapshot_lsn = snap.applied_lsn;
+      recovery_.snapshot_lsn = last_lsn_;
       recovery_.fell_back = i > 0 || manifest_corrupt;
-      return;
+      return true;
     } catch (const std::exception& e) {
-      if (first_error.empty()) first_error = e.what();
       recovery_.fell_back = true;
       if (recovery_.fallback_reason.empty()) recovery_.fallback_reason = e.what();
+      if (reset) reset();
     }
   }
-  // Durable generations exist but none is loadable: rebuilding an empty
-  // store over them would silently discard acknowledged data.
-  throw std::runtime_error(
-      "DurableDynamicIndex: no usable snapshot generation in " + opts_.dir +
-      " (" + first_error + ")");
+  throw std::runtime_error(owner_ + ": no usable snapshot generation in " +
+                           opts_.dir + " (" + recovery_.fallback_reason + ")");
 }
 
-void DurableDynamicIndex::ReplayWalTail(uint64_t from_gen) {
+void DurableStore::ReplayTail(
+    const std::function<void(std::span<const EdgeUpdate>)>& apply) {
+  recovery_.dropped_wal_bytes +=
+      ReplayWal(recovery_.generation, last_lsn_, UINT64_MAX,
+                [&](const WalRecord& record) {
+                  apply(record.updates);
+                  last_lsn_ = record.lsn;
+                  ++recovery_.replayed_records;
+                });
+}
+
+uint64_t DurableStore::ReplayWal(
+    uint64_t from_gen, uint64_t after_lsn, uint64_t upto_lsn,
+    const std::function<void(const WalRecord&)>& apply) const {
+  uint64_t dropped = 0;
   for (const uint64_t gen : ListGenerationFiles(opts_.dir, "wal-", ".log")) {
     if (gen < from_gen) continue;
     const WalReadResult res = ReadWalFile(WalPath(opts_.dir, gen));
-    recovery_.dropped_wal_bytes += res.dropped_bytes;
+    dropped += res.dropped_bytes;
     for (const WalRecord& record : res.records) {
-      if (record.lsn <= last_lsn_) continue;  // already in the snapshot
-      dyn_->ApplyUpdates(record.updates);
-      last_lsn_ = record.lsn;
-      ++recovery_.replayed_records;
+      // At or below the gate: already in the state being replayed onto.
+      if (record.lsn <= after_lsn || record.lsn > upto_lsn) continue;
+      apply(record);
+      after_lsn = record.lsn;
     }
   }
+  return dropped;
 }
 
-size_t DurableDynamicIndex::ApplyUpdates(std::span<const EdgeUpdate> updates) {
-  if (updates.empty()) return 0;
-  // Log-then-apply: a throw here leaves the in-memory index untouched and
-  // the batch unacknowledged (its torn record, if any, fails the checksum).
+void DurableStore::Log(std::span<const EdgeUpdate> updates) {
   wal_.Append(last_lsn_ + 1, updates);
   ++last_lsn_;
-  const size_t applied = dyn_->ApplyUpdates(updates);
-  if (opts_.checkpoint_wal_bytes > 0 &&
-      wal_.bytes_appended() >= opts_.checkpoint_wal_bytes) {
-    Checkpoint();
-  }
-  return applied;
 }
 
-void DurableDynamicIndex::Checkpoint() {
+void DurableStore::Checkpoint(
+    const std::function<void(const std::string&, uint64_t)>& write_state) {
   const uint64_t next = std::max(generation_, max_gen_seen_) + 1;
-  WriteSnapshotFile(SnapshotPath(opts_.dir, next), last_lsn_,
-                    dyn_->inserted_edges(), dyn_->removed_edges(),
-                    &dyn_->index());
+  write_state(GenerationPath(next), last_lsn_);
   // Switch the WAL before the commit: batches acknowledged from here land
   // in wal-<next>. If the commit below never happens, recovery targets the
   // previous generation and still finds them — replay walks every WAL file
@@ -370,18 +363,67 @@ void DurableDynamicIndex::Checkpoint() {
   FailpointHit(failpoints::kCheckpointAfterCommit);
   std::error_code ec;
   for (const SnapshotGeneration& g : manifest_.generations) {
-    bool kept = false;
-    for (const SnapshotGeneration& k : m.generations) {
-      kept = kept || k.generation == g.generation;
-    }
-    if (!kept) {
-      fs::remove(SnapshotPath(opts_.dir, g.generation), ec);
+    if (!Lists(m, g.generation)) {
+      fs::remove_all(GenerationPath(g.generation), ec);
       fs::remove(WalPath(opts_.dir, g.generation), ec);
     }
   }
   manifest_ = std::move(m);
   generation_ = next;
   max_gen_seen_ = std::max(max_gen_seen_, next);
+}
+
+void DurableStore::SweepUnlisted() {
+  std::error_code ec;
+  for (const uint64_t gen :
+       ListGenerationFiles(opts_.dir, gen_prefix_, gen_suffix_)) {
+    if (!Lists(manifest_, gen)) fs::remove_all(GenerationPath(gen), ec);
+  }
+  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "wal-", ".log")) {
+    if (!Lists(manifest_, gen)) fs::remove(WalPath(opts_.dir, gen), ec);
+  }
+}
+
+DurableDynamicIndex::DurableDynamicIndex(
+    const DiGraph& g, DurabilityOptions opts,
+    const std::function<RlcIndex()>& build_base, ResealPolicy policy)
+    : g_(g),
+      store_(std::move(opts), "snapshot-", ".snap", "DurableDynamicIndex") {
+  const bool recovered = store_.Recover([&](const std::string& path) {
+    auto [dyn, applied_lsn] = LoadDynamicSnapshot(path, g_, policy);
+    dyn_ = std::move(dyn);
+    return applied_lsn;
+  });
+  if (recovered) {
+    store_.ReplayTail([&](std::span<const EdgeUpdate> updates) {
+      dyn_->ApplyUpdates(updates);
+    });
+  } else {
+    dyn_ = std::make_unique<DynamicRlcIndex>(g_, build_base(), policy);
+  }
+  // End every open at a clean generation boundary: the replayed state gets
+  // its own snapshot and a fresh WAL.
+  Checkpoint();
+  store_.SweepUnlisted();
+}
+
+DurableDynamicIndex::~DurableDynamicIndex() = default;
+
+size_t DurableDynamicIndex::ApplyUpdates(std::span<const EdgeUpdate> updates) {
+  ValidateUpdates(g_, updates);
+  if (updates.empty()) return 0;
+  // Log-then-apply: a throw here leaves the in-memory index untouched and
+  // the batch unacknowledged (its torn record, if any, fails the checksum).
+  store_.Log(updates);
+  const size_t applied = dyn_->ApplyUpdates(updates);
+  if (store_.CheckpointDue()) Checkpoint();
+  return applied;
+}
+
+void DurableDynamicIndex::Checkpoint() {
+  store_.Checkpoint([&](const std::string& path, uint64_t applied_lsn) {
+    WriteDynamicSnapshot(path, applied_lsn, *dyn_);
+  });
 }
 
 }  // namespace rlc

@@ -1,36 +1,42 @@
-// Crash-safe durability for a dynamically maintained RLC index.
+// Crash-safe durability for dynamically maintained RLC indexes.
 //
-// A DurableDynamicIndex wraps DynamicRlcIndex with a write-ahead log and
-// generation-numbered snapshots inside one directory:
+// DurableStore runs the snapshot-generation protocol over one directory,
+// for both durable stores: DurableDynamicIndex below, and ShardedRlcService
+// with ServiceOptions::durability set (sharded_service.h). The two differ
+// only in what a generation holds:
 //
 //   <dir>/MANIFEST            retained generations, newest first (index_io.h)
-//   <dir>/snapshot-<G>.snap   state as of the generation-G checkpoint
-//   <dir>/wal-<G>.log         mutation batches acknowledged after it
+//   <dir>/wal-<G>.log         mutation batches acknowledged after generation G
+//   <dir>/snapshot-<G>.snap   DurableDynamicIndex: state as of generation G
+//   <dir>/gen-<G>/            ShardedRlcService: service.snap + shard-<i>.snap
 //
-// Every ApplyUpdates batch is appended (write + fsync) to the current WAL
-// *before* it touches the in-memory index, so an acknowledged batch — one
-// whose ApplyUpdates returned — survives any crash. A checkpoint writes the
-// full state to snapshot-<G+1>.snap via atomic tmp+rename, switches the WAL
-// to wal-<G+1>.log, then commits the manifest (another atomic rename): the
-// manifest commit is the single instant the new generation becomes the
-// recovery target. Generations beyond DurabilityOptions::keep_generations
-// are deleted only after the commit that drops them.
+// Every ApplyUpdates batch is validated (ValidateUpdates, dynamic_index.h),
+// then appended (write + fsync) to the current WAL *before* it touches the
+// in-memory state, so an acknowledged batch — one whose ApplyUpdates
+// returned — survives any crash, and an invalid batch is neither logged nor
+// applied. A checkpoint writes the full state of generation G+1 through
+// atomic tmp+rename files, switches the WAL to wal-<G+1>.log, then commits
+// the manifest (another atomic rename): the manifest commit is the single
+// instant the new generation becomes the recovery target. Generations
+// beyond DurabilityOptions::keep_generations are deleted only after the
+// commit that drops them.
 //
-// Recovery walks the manifest newest-first, loads the first snapshot that
-// parses and checksums cleanly (a torn or byte-flipped newest generation
-// degrades to the previous one), then replays every wal-<G'>.log with
-// G' >= the chosen generation in ascending order. Replay is LSN-gated —
-// records with lsn <= the snapshot's applied_lsn are skipped — so batches
-// already folded into the snapshot are never applied twice, and batches
-// acknowledged into a newer (unusable) generation's WAL are still found.
-// Torn trailing WAL records fail their checksum and are dropped (wal.h);
-// because the WAL is fsynced before acknowledgement, dropped bytes can only
-// belong to a batch whose ApplyUpdates never returned. The constructor ends
-// every open — fresh build or recovery — with a checkpoint, so the store is
-// always at a clean generation boundary afterwards.
+// Recovery walks the manifest newest-first (a corrupt manifest degrades to
+// a directory scan), loads the first generation that parses and checksums
+// cleanly (a torn or byte-flipped newest generation degrades to the
+// previous one), then replays every wal-<G'>.log with G' >= the chosen
+// generation in ascending order. Replay is LSN-gated — records with lsn <=
+// the snapshot's applied_lsn are skipped — so batches already folded into
+// the snapshot are never applied twice, and batches acknowledged into a
+// newer (unusable) generation's WAL are still found. Torn trailing WAL
+// records fail their checksum and are dropped (wal.h); because the WAL is
+// fsynced before acknowledgement, dropped bytes can only belong to a batch
+// whose ApplyUpdates never returned. Every open — fresh build or recovery —
+// ends with a checkpoint, so the store is always at a clean generation
+// boundary afterwards, and then sweeps files the manifest does not list.
 //
-// Snapshot file format, little-endian (shared with the per-shard service
-// snapshots, sharded_service.h):
+// Snapshot file format, little-endian (shared by snapshot-<G>.snap and the
+// per-shard and service files of gen-<G>/):
 //
 //   u64 magic  u32 version  u64 applied_lsn
 //   u64 inserted count, count * (u32 src, u32 label, u32 dst, u8 op)
@@ -54,6 +60,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rlc/core/dynamic_index.h"
@@ -105,6 +112,17 @@ void WriteSnapshotFile(const std::string& path, uint64_t applied_lsn,
 /// embedded index that fails its own validation) — never UB.
 LoadedSnapshot LoadSnapshotFile(const std::string& path);
 
+/// Writes `dyn`'s state as a snapshot file with an embedded index.
+void WriteDynamicSnapshot(const std::string& path, uint64_t applied_lsn,
+                          const DynamicRlcIndex& dyn);
+
+/// Loads a snapshot file that embeds an index into a DynamicRlcIndex over
+/// `g` (RestoreOverlay, no maintenance) and returns it with the file's
+/// applied_lsn. \throws std::runtime_error like LoadSnapshotFile, or when
+/// the file embeds no index.
+std::pair<std::unique_ptr<DynamicRlcIndex>, uint64_t> LoadDynamicSnapshot(
+    const std::string& path, const DiGraph& g, const ResealPolicy& policy);
+
 /// Snapshot/WAL file names for generation `gen` inside a durability dir.
 std::string SnapshotPath(const std::string& dir, uint64_t gen);
 std::string WalPath(const std::string& dir, uint64_t gen);
@@ -114,6 +132,90 @@ std::string WalPath(const std::string& dir, uint64_t gen);
 std::vector<uint64_t> ListGenerationFiles(const std::string& dir,
                                           const std::string& prefix,
                                           const std::string& suffix);
+
+/// The snapshot-generation protocol (see the file comment). It owns the
+/// WAL writer, the manifest, the LSN and generation counters and the
+/// RecoveryInfo; the owning store supplies what a generation holds through
+/// callbacks. A generation's state lives at `<dir>/<prefix><G><suffix>`, a
+/// file or a directory.
+class DurableStore {
+ public:
+  /// Creates `opts.dir` when missing. `owner` prefixes error messages.
+  /// \throws std::runtime_error when the directory cannot be created.
+  DurableStore(DurabilityOptions opts, std::string gen_prefix,
+               std::string gen_suffix, std::string owner);
+
+  DurableStore(const DurableStore&) = delete;
+  DurableStore& operator=(const DurableStore&) = delete;
+
+  /// Where generation `gen`'s state lives.
+  std::string GenerationPath(uint64_t gen) const;
+
+  /// The recovery walk. Tries the manifest's generations newest first (a
+  /// directory scan when the manifest is corrupt): `load(path)` adopts one
+  /// generation's state and returns its applied_lsn, or throws; `reset()`
+  /// (when set) undoes a failed attempt before the next. Returns false when
+  /// the directory holds no generation (a fresh store).
+  /// \throws std::runtime_error when generations exist but none loads —
+  ///         rebuilding over them would silently discard acknowledged data.
+  bool Recover(const std::function<uint64_t(const std::string&)>& load,
+               const std::function<void()>& reset = {});
+
+  /// After a successful Recover: passes every WAL batch past last_lsn()
+  /// to `apply` (ReplayWal from the recovered generation), advancing
+  /// last_lsn() and the replay counters of recovery_info().
+  void ReplayTail(
+      const std::function<void(std::span<const EdgeUpdate>)>& apply);
+
+  /// LSN-gated WAL read: calls `apply` on every record of wal-<G'>, G' >=
+  /// `from_gen`, in ascending order, whose lsn is above `after_lsn` and
+  /// every lsn applied before it, and at most `upto_lsn`. Returns the
+  /// torn/corrupt tail bytes the reader dropped.
+  uint64_t ReplayWal(uint64_t from_gen, uint64_t after_lsn, uint64_t upto_lsn,
+                     const std::function<void(const WalRecord&)>& apply) const;
+
+  /// Appends (write + fsync) an already-validated batch as lsn
+  /// last_lsn() + 1. \throws std::runtime_error when the append fails; the
+  /// batch is then not logged and last_lsn() is unchanged.
+  void Log(std::span<const EdgeUpdate> updates);
+
+  /// True once the current WAL reached DurabilityOptions::checkpoint_wal_bytes.
+  bool CheckpointDue() const {
+    return opts_.checkpoint_wal_bytes > 0 &&
+           wal_.bytes_appended() >= opts_.checkpoint_wal_bytes;
+  }
+
+  /// Writes generation current+1: `write_state(path, last_lsn())` persists
+  /// the caller's state at its GenerationPath, then the WAL switches (back
+  /// again on failure), the manifest commits, and generations past
+  /// keep_generations are deleted. \throws std::runtime_error on I/O
+  /// failure or an injected fault; the previous generation then remains the
+  /// recovery target.
+  void Checkpoint(
+      const std::function<void(const std::string&, uint64_t)>& write_state);
+
+  /// Deletes generation states and WAL files the committed manifest does
+  /// not list: leftovers of interrupted checkpoints and cleanups.
+  void SweepUnlisted();
+
+  uint64_t last_lsn() const { return last_lsn_; }
+  uint64_t generation() const { return generation_; }
+  uint64_t wal_bytes() const { return wal_.bytes_appended(); }
+  const RecoveryInfo& recovery_info() const { return recovery_; }
+  const DurabilityOptions& options() const { return opts_; }
+
+ private:
+  DurabilityOptions opts_;
+  std::string gen_prefix_;
+  std::string gen_suffix_;
+  std::string owner_;
+  WalWriter wal_;
+  DurabilityManifest manifest_;
+  uint64_t last_lsn_ = 0;
+  uint64_t generation_ = 0;    ///< newest committed generation (0 = none yet)
+  uint64_t max_gen_seen_ = 0;  ///< highest generation ever on disk
+  RecoveryInfo recovery_;
+};
 
 /// A DynamicRlcIndex whose acknowledged mutations survive crashes.
 class DurableDynamicIndex {
@@ -135,10 +237,12 @@ class DurableDynamicIndex {
   DurableDynamicIndex(const DurableDynamicIndex&) = delete;
   DurableDynamicIndex& operator=(const DurableDynamicIndex&) = delete;
 
-  /// Logs the batch (write + fsync), applies it, and may auto-checkpoint.
-  /// On return the batch is durable. \throws std::runtime_error when the
-  /// WAL append fails — the in-memory index is then untouched and the
-  /// batch is NOT acknowledged.
+  /// Validates the batch, logs it (write + fsync), applies it, and may
+  /// auto-checkpoint. On return the batch is durable.
+  /// \throws std::invalid_argument on out-of-range vertices or labels
+  ///         outside the base graph's alphabet, std::runtime_error when the
+  ///         WAL append fails — either way nothing is logged or applied and
+  ///         the batch is NOT acknowledged.
   size_t ApplyUpdates(std::span<const EdgeUpdate> updates);
 
   /// Writes generation current+1: snapshot, WAL switch, manifest commit,
@@ -155,29 +259,19 @@ class DurableDynamicIndex {
   }
 
   /// LSN of the last acknowledged batch (0 before any).
-  uint64_t last_lsn() const { return last_lsn_; }
+  uint64_t last_lsn() const { return store_.last_lsn(); }
   /// Current (newest committed) snapshot generation.
-  uint64_t generation() const { return generation_; }
+  uint64_t generation() const { return store_.generation(); }
   /// Bytes appended to the current generation's WAL.
-  uint64_t wal_bytes() const { return wal_.bytes_appended(); }
+  uint64_t wal_bytes() const { return store_.wal_bytes(); }
 
-  const RecoveryInfo& recovery_info() const { return recovery_; }
-  const DurabilityOptions& options() const { return opts_; }
+  const RecoveryInfo& recovery_info() const { return store_.recovery_info(); }
+  const DurabilityOptions& options() const { return store_.options(); }
 
  private:
-  void Recover(const std::function<RlcIndex()>& build_base,
-               const ResealPolicy& policy);
-  void ReplayWalTail(uint64_t from_gen);
-
   const DiGraph& g_;
-  DurabilityOptions opts_;
+  DurableStore store_;
   std::unique_ptr<DynamicRlcIndex> dyn_;
-  WalWriter wal_;
-  DurabilityManifest manifest_;
-  uint64_t last_lsn_ = 0;
-  uint64_t generation_ = 0;  ///< newest committed generation (0 = none yet)
-  uint64_t max_gen_seen_ = 0;  ///< highest generation ever on disk
-  RecoveryInfo recovery_;
 };
 
 }  // namespace rlc

@@ -201,7 +201,20 @@ void DynamicRlcIndex::RestoreOverlay(std::span<const EdgeUpdate> inserted,
   }
 }
 
+void ValidateUpdates(const DiGraph& g, std::span<const EdgeUpdate> updates) {
+  for (const EdgeUpdate& e : updates) {
+    RLC_REQUIRE(e.src < g.num_vertices() && e.dst < g.num_vertices(),
+                "edge update " << e.src << " -" << e.label << "-> " << e.dst
+                               << ": vertex out of range (graph has "
+                               << g.num_vertices() << " vertices)");
+    RLC_REQUIRE(e.label < g.num_labels(),
+                "edge update " << e.src << " -" << e.label << "-> " << e.dst
+                               << ": label outside the base graph's alphabet");
+  }
+}
+
 size_t DynamicRlcIndex::ApplyUpdates(std::span<const EdgeUpdate> updates) {
+  ValidateUpdates(g_, updates);
   size_t applied = 0;
   for (const EdgeUpdate& e : updates) {
     const bool changed = e.op == EdgeOp::kInsert

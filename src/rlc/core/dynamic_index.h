@@ -99,6 +99,13 @@ struct EdgeUpdate {
   friend bool operator==(const EdgeUpdate&, const EdgeUpdate&) = default;
 };
 
+/// Rejects a batch that names a vertex outside `g` or a label outside its
+/// alphabet. Every ApplyUpdates (DynamicRlcIndex and both durable stores)
+/// checks the whole batch first, so an invalid batch is rejected whole:
+/// nothing logged, nothing applied.
+/// \throws std::invalid_argument naming the first invalid update.
+void ValidateUpdates(const DiGraph& g, std::span<const EdgeUpdate> updates);
+
 /// When and how a dynamic index folds its delta overlay back into CSR form.
 struct ResealPolicy {
   /// Reseal once delta_entries / sealed_entries exceeds this fraction.
@@ -161,6 +168,7 @@ class DynamicRlcIndex {
 
   /// Applies a batch of mutations in order; returns how many changed the
   /// graph (inserts of new edges + deletes of present edges).
+  /// \throws std::invalid_argument (ValidateUpdates) before applying any.
   size_t ApplyUpdates(std::span<const EdgeUpdate> updates);
 
   /// Re-installs a previously persisted graph overlay (durable_index.h)

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <filesystem>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
-#include "rlc/core/index_io.h"
 #include "rlc/obs/trace.h"
 #include "rlc/serve/kernel_jobs.h"
 #include "rlc/util/failpoint.h"
@@ -127,19 +127,24 @@ ShardedRlcService::ShardedRlcService(const DiGraph& g, ServiceOptions options)
         &metrics_.GetGauge("serve.breaker.state.compose");
   }
 
-  const bool is_durable = !options_.durability.dir.empty();
-  if (is_durable) {
-    std::error_code ec;
-    fs::create_directories(options_.durability.dir, ec);
-    if (ec) {
-      throw std::runtime_error("ShardedRlcService: cannot create " +
-                               options_.durability.dir + ": " + ec.message());
-    }
+  if (!options_.durability.dir.empty()) {
+    store_.emplace(options_.durability, "gen-", "", "ShardedRlcService");
   }
 
   timer.Reset();
   const uint64_t recover_t0 = obs::NowNanos();
-  const bool recovered = is_durable && TryRecover();
+  const bool recovered =
+      store_ && store_->Recover(
+                    [&](const std::string& gdir) { return LoadGeneration(gdir); },
+                    [&] {
+                      // A failed attempt may have partially mutated the
+                      // service; reset everything LoadGeneration touches.
+                      shard_dyn_.clear();
+                      applied_set_.clear();
+                      applied_inserts_.clear();
+                      deleted_base_.clear();
+                      partition_ = GraphPartition::Build(g_, options_.partition);
+                    });
   if (recovered) {
     metrics_.GetGauge("serve.recover.load_ns")
         .Set(static_cast<int64_t>(obs::NowNanos() - recover_t0));
@@ -157,34 +162,40 @@ ShardedRlcService::ShardedRlcService(const DiGraph& g, ServiceOptions options)
       ThreadPool::ResolveThreads(options_.exec_threads);
   if (exec_threads > 1) exec_pool_ = std::make_unique<ThreadPool>(exec_threads);
 
-  if (is_durable) {
+  if (store_) {
     if (recovered) {
       const uint64_t replay_t0 = obs::NowNanos();
-      ReplayServiceWal(recovery_.generation);
+      store_->ReplayTail([&](std::span<const EdgeUpdate> updates) {
+        ValidateUpdates(g_, updates);
+        ApplyUpdatesInternal(updates);
+      });
       metrics_.GetGauge("serve.recover.wal_replay_ns")
           .Set(static_cast<int64_t>(obs::NowNanos() - replay_t0));
       metrics_.GetGauge("serve.recover.replayed_records")
-          .Set(static_cast<int64_t>(recovery_.replayed_records));
+          .Set(static_cast<int64_t>(store_->recovery_info().replayed_records));
     }
-    // End every open at a clean generation boundary, then sweep files whose
-    // generation the committed manifest no longer lists (leftovers of
-    // interrupted checkpoints).
+    // End every open at a clean generation boundary.
     Checkpoint();
-    auto in_manifest = [&](uint64_t gen) {
-      for (const SnapshotGeneration& mg : manifest_.generations) {
-        if (mg.generation == gen) return true;
-      }
-      return false;
-    };
-    std::error_code ec;
-    const std::string& dir = options_.durability.dir;
-    for (const uint64_t gen : ListGenerationFiles(dir, "gen-", "")) {
-      if (!in_manifest(gen)) fs::remove_all(GenDir(gen), ec);
-    }
-    for (const uint64_t gen : ListGenerationFiles(dir, "wal-", ".log")) {
-      if (!in_manifest(gen)) fs::remove(WalPath(dir, gen), ec);
-    }
+    store_->SweepUnlisted();
   }
+}
+
+void ShardedRlcService::ForEachShard(
+    const std::function<void(uint32_t)>& task) const {
+  const uint32_t num_shards = partition_.num_shards();
+  const uint32_t threads =
+      std::min(ThreadPool::ResolveThreads(options_.build_threads), num_shards);
+  if (threads <= 1) {
+    for (uint32_t shard = 0; shard < num_shards; ++shard) task(shard);
+    return;
+  }
+  std::atomic<uint32_t> cursor{0};
+  ThreadPool pool(threads);
+  pool.Run([&](uint32_t) {
+    for (uint32_t shard; (shard = cursor.fetch_add(1)) < num_shards;) {
+      task(shard);
+    }
+  });
 }
 
 void ShardedRlcService::BuildIndexes() {
@@ -193,141 +204,42 @@ void ShardedRlcService::BuildIndexes() {
   // across shards, not within one), and always seals: the service serves
   // from the CSR layout. Nothing whole-graph is built — the composition
   // engine answers cross-shard probes from the shard graphs alone.
-  const uint32_t num_shards = partition_.num_shards();
-  const uint32_t threads =
-      std::min(ThreadPool::ResolveThreads(options_.build_threads), num_shards);
   IndexerOptions build_opts = options_.indexer;
   build_opts.num_threads = 1;
   build_opts.seal = true;
-
-  shard_dyn_.resize(num_shards);
-  auto build_task = [&](uint32_t shard) {
+  shard_dyn_.resize(partition_.num_shards());
+  ForEachShard([&](uint32_t shard) {
     const DiGraph& shard_graph = partition_.shard(shard).graph;
     RlcIndexBuilder builder(shard_graph, build_opts);
     shard_dyn_[shard] = std::make_unique<DynamicRlcIndex>(
         shard_graph, builder.Build(), options_.reseal);
-  };
-  if (threads <= 1) {
-    for (uint32_t shard = 0; shard < num_shards; ++shard) build_task(shard);
-  } else {
-    std::atomic<uint32_t> cursor{0};
-    ThreadPool pool(threads);
-    pool.Run([&](uint32_t) {
-      for (uint32_t shard; (shard = cursor.fetch_add(1)) < num_shards;) {
-        build_task(shard);
-      }
-    });
-  }
+  });
 }
 
-bool ShardedRlcService::TryRecover() {
-  const std::string& dir = options_.durability.dir;
-  bool manifest_corrupt = false;
-  try {
-    manifest_ = ReadManifest(dir);
-  } catch (const std::exception& e) {
-    // Degrade to a directory scan: the snapshots carry their own
-    // applied_lsn, the manifest is only the generation list.
-    manifest_corrupt = true;
-    recovery_.fallback_reason = e.what();
-    const std::vector<uint64_t> gens = ListGenerationFiles(dir, "gen-", "");
-    for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
-      manifest_.generations.push_back({*it, 0});
-    }
-  }
-  for (const SnapshotGeneration& g : manifest_.generations) {
-    max_gen_seen_ = std::max(max_gen_seen_, g.generation);
-  }
-  for (const uint64_t gen : ListGenerationFiles(dir, "gen-", "")) {
-    max_gen_seen_ = std::max(max_gen_seen_, gen);
-  }
-  for (const uint64_t gen : ListGenerationFiles(dir, "wal-", ".log")) {
-    max_gen_seen_ = std::max(max_gen_seen_, gen);
-  }
-  if (manifest_.generations.empty()) return false;
-
-  std::string first_error = recovery_.fallback_reason;
-  for (size_t i = 0; i < manifest_.generations.size(); ++i) {
-    const uint64_t gen = manifest_.generations[i].generation;
-    try {
-      LoadGeneration(gen);
-      recovery_.recovered = true;
-      recovery_.generation = gen;
-      recovery_.snapshot_lsn = last_lsn_;
-      recovery_.fell_back = i > 0 || manifest_corrupt;
-      return true;
-    } catch (const std::exception& e) {
-      if (first_error.empty()) first_error = e.what();
-      recovery_.fell_back = true;
-      if (recovery_.fallback_reason.empty()) {
-        recovery_.fallback_reason = e.what();
-      }
-      // A failed attempt may have partially mutated the service; reset
-      // everything LoadGeneration touches before the next candidate.
-      shard_dyn_.clear();
-      applied_set_.clear();
-      applied_inserts_.clear();
-      deleted_base_.clear();
-      last_lsn_ = 0;
-      partition_ = GraphPartition::Build(g_, options_.partition);
-    }
-  }
-  // Durable generations exist but none is loadable: rebuilding over them
-  // would silently discard acknowledged data.
-  throw std::runtime_error(
-      "ShardedRlcService: no usable snapshot generation in " + dir + " (" +
-      first_error + ")");
-}
-
-void ShardedRlcService::LoadGeneration(uint64_t gen) {
-  const std::string gdir = GenDir(gen);
+uint64_t ShardedRlcService::LoadGeneration(const std::string& gdir) {
   LoadedSnapshot meta = LoadSnapshotFile(gdir + "/service.snap");
-  auto check_range = [&](const EdgeUpdate& e) {
-    if (e.src >= g_.num_vertices() || e.dst >= g_.num_vertices() ||
-        e.label >= g_.num_labels()) {
-      throw std::runtime_error(gdir +
-                               "/service.snap: overlay edge out of range");
-    }
-  };
-  for (const EdgeUpdate& e : meta.inserted) check_range(e);
-  for (const EdgeUpdate& e : meta.removed) check_range(e);
+  try {
+    ValidateUpdates(g_, meta.inserted);
+    ValidateUpdates(g_, meta.removed);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(gdir + "/service.snap: " + e.what());
+  }
 
   // Per-shard snapshot loads fan out across the build pool: each shard
   // parses, adopts and RestoreOverlay()s independently.
-  const uint32_t num_shards = partition_.num_shards();
   shard_dyn_.clear();
-  shard_dyn_.resize(num_shards);
-  std::vector<std::string> shard_errors(num_shards);
-  auto load_shard = [&](uint32_t shard) {
+  shard_dyn_.resize(partition_.num_shards());
+  std::vector<std::string> shard_errors(partition_.num_shards());
+  ForEachShard([&](uint32_t shard) {
     try {
-      const std::string path =
-          gdir + "/shard-" + std::to_string(shard) + ".snap";
-      LoadedSnapshot snap = LoadSnapshotFile(path);
-      if (!snap.index) {
-        throw std::runtime_error(path + " has no embedded index");
-      }
-      auto dyn = std::make_unique<DynamicRlcIndex>(
-          partition_.shard(shard).graph, std::move(*snap.index),
-          options_.reseal);
-      dyn->RestoreOverlay(snap.inserted, snap.removed);
-      shard_dyn_[shard] = std::move(dyn);
+      shard_dyn_[shard] =
+          LoadDynamicSnapshot(gdir + "/shard-" + std::to_string(shard) + ".snap",
+                              partition_.shard(shard).graph, options_.reseal)
+              .first;
     } catch (const std::exception& e) {
       shard_errors[shard] = e.what();
     }
-  };
-  const uint32_t threads =
-      std::min(ThreadPool::ResolveThreads(options_.build_threads), num_shards);
-  if (threads <= 1) {
-    for (uint32_t shard = 0; shard < num_shards; ++shard) load_shard(shard);
-  } else {
-    std::atomic<uint32_t> cursor{0};
-    ThreadPool pool(threads);
-    pool.Run([&](uint32_t) {
-      for (uint32_t shard; (shard = cursor.fetch_add(1)) < num_shards;) {
-        load_shard(shard);
-      }
-    });
-  }
+  });
   for (const std::string& err : shard_errors) {
     if (!err.empty()) throw std::runtime_error(err);
   }
@@ -348,86 +260,33 @@ void ShardedRlcService::LoadGeneration(uint64_t gen) {
       partition_.RemoveCrossEdge(e.src, e.label, e.dst);
     }
   }
-  last_lsn_ = meta.applied_lsn;
-}
-
-void ShardedRlcService::ReplayServiceWal(uint64_t from_gen) {
-  const std::string& dir = options_.durability.dir;
-  for (const uint64_t gen : ListGenerationFiles(dir, "wal-", ".log")) {
-    if (gen < from_gen) continue;
-    const WalReadResult res = ReadWalFile(WalPath(dir, gen));
-    recovery_.dropped_wal_bytes += res.dropped_bytes;
-    for (const WalRecord& record : res.records) {
-      if (record.lsn <= last_lsn_) continue;  // already in the snapshot
-      ValidateUpdates(record.updates);
-      ApplyUpdatesInternal(record.updates);
-      last_lsn_ = record.lsn;
-      ++recovery_.replayed_records;
-    }
-  }
+  return meta.applied_lsn;
 }
 
 void ShardedRlcService::Checkpoint() {
-  const std::string& dir = options_.durability.dir;
-  if (dir.empty()) {
+  if (!store_) {
     throw std::logic_error("ShardedRlcService::Checkpoint: durability is off");
   }
   obs::ScopedSpan span(h_.checkpoint_ns, "serve.checkpoint");
-  const uint64_t next = std::max(generation_, max_gen_seen_) + 1;
-  const std::string gdir = GenDir(next);
-  std::error_code ec;
-  fs::create_directories(gdir, ec);
-  if (ec) {
-    throw std::runtime_error("ShardedRlcService::Checkpoint: cannot create " +
-                             gdir + ": " + ec.message());
-  }
-  for (uint32_t shard = 0; shard < partition_.num_shards(); ++shard) {
-    WriteSnapshotFile(gdir + "/shard-" + std::to_string(shard) + ".snap",
-                      last_lsn_, shard_dyn_[shard]->inserted_edges(),
-                      shard_dyn_[shard]->removed_edges(),
-                      &shard_dyn_[shard]->index());
-  }
-  std::vector<EdgeUpdate> removed;
-  removed.reserve(deleted_base_.size());
-  for (const auto& [src, label, dst] : deleted_base_) {
-    removed.push_back({src, label, dst, EdgeOp::kDelete});
-  }
-  WriteSnapshotFile(gdir + "/service.snap", last_lsn_, applied_inserts_,
-                    removed, /*index=*/nullptr);
-  // Switch the WAL before the commit: batches acknowledged from here land
-  // in wal-<next>; if the commit below never happens, recovery targets the
-  // previous generation and still replays them (every WAL file at or above
-  // the recovered generation is walked, LSN-gated).
-  const std::string previous_wal = wal_.path();
-  try {
-    wal_.Open(WalPath(dir, next));
-  } catch (...) {
-    if (!previous_wal.empty()) wal_.Open(previous_wal);
-    throw;
-  }
-  DurabilityManifest m;
-  m.generations.push_back({next, last_lsn_});
-  const uint32_t keep =
-      std::max<uint32_t>(1, options_.durability.keep_generations);
-  for (const SnapshotGeneration& g : manifest_.generations) {
-    if (m.generations.size() >= keep) break;
-    m.generations.push_back(g);
-  }
-  CommitManifest(dir, m);  // the durability point
-  FailpointHit(failpoints::kCheckpointAfterCommit);
-  for (const SnapshotGeneration& g : manifest_.generations) {
-    bool kept = false;
-    for (const SnapshotGeneration& k : m.generations) {
-      kept = kept || k.generation == g.generation;
+  store_->Checkpoint([&](const std::string& gdir, uint64_t applied_lsn) {
+    std::error_code ec;
+    fs::create_directories(gdir, ec);
+    if (ec) {
+      throw std::runtime_error("ShardedRlcService::Checkpoint: cannot create " +
+                               gdir + ": " + ec.message());
     }
-    if (!kept) {
-      fs::remove_all(GenDir(g.generation), ec);
-      fs::remove(WalPath(dir, g.generation), ec);
+    for (uint32_t shard = 0; shard < partition_.num_shards(); ++shard) {
+      WriteDynamicSnapshot(gdir + "/shard-" + std::to_string(shard) + ".snap",
+                           applied_lsn, *shard_dyn_[shard]);
     }
-  }
-  manifest_ = std::move(m);
-  generation_ = next;
-  max_gen_seen_ = std::max(max_gen_seen_, next);
+    std::vector<EdgeUpdate> removed;
+    removed.reserve(deleted_base_.size());
+    for (const auto& [src, label, dst] : deleted_base_) {
+      removed.push_back({src, label, dst, EdgeOp::kDelete});
+    }
+    WriteSnapshotFile(gdir + "/service.snap", applied_lsn, applied_inserts_,
+                      removed, /*index=*/nullptr);
+  });
 }
 
 const ShardedRlcService::SeqEntry& ShardedRlcService::Resolve(
@@ -939,36 +798,19 @@ bool ShardedRlcService::EdgePresent(VertexId src, Label label,
 
 size_t ShardedRlcService::ApplyUpdates(std::span<const EdgeUpdate> updates) {
   obs::ScopedSpan span(h_.apply_updates_ns, "serve.apply_updates");
-  ValidateUpdates(updates);
-  if (updates.empty()) return 0;
-  if (wal_.is_open()) {
-    // Append-before-apply: once Append returns the batch is fsynced, so an
-    // acknowledged return from this method survives any crash. An append
-    // failure leaves the in-memory state untouched.
-    wal_.Append(last_lsn_ + 1, updates);
-    ++last_lsn_;
-  }
-  const size_t applied = ApplyUpdatesInternal(updates);
-  if (wal_.is_open() && options_.durability.checkpoint_wal_bytes > 0 &&
-      wal_.bytes_appended() >= options_.durability.checkpoint_wal_bytes) {
-    Checkpoint();
-  }
-  return applied;
-}
-
-void ShardedRlcService::ValidateUpdates(
-    std::span<const EdgeUpdate> updates) const {
   // Validate the whole batch up front: a mid-batch throw after edges were
-  // already applied would skip the cache epilogue below and leave the
-  // service answering stale — the documented exception must be catchable
-  // without corrupting the instance.
-  for (const EdgeUpdate& e : updates) {
-    RLC_REQUIRE(e.src < g_.num_vertices() && e.dst < g_.num_vertices(),
-                "ShardedRlcService::ApplyUpdates: vertex out of range");
-    RLC_REQUIRE(e.label < g_.num_labels(),
-                "ShardedRlcService::ApplyUpdates: label " << e.label
-                    << " outside the base graph's alphabet");
-  }
+  // already applied would skip the cache epilogue of ApplyUpdatesInternal
+  // and leave the service answering stale, and an invalid batch must never
+  // reach the WAL.
+  ValidateUpdates(g_, updates);
+  if (updates.empty()) return 0;
+  // Append-before-apply: once Log returns the batch is fsynced, so an
+  // acknowledged return from this method survives any crash. A failed
+  // append leaves the in-memory state untouched.
+  if (store_) store_->Log(updates);
+  const size_t applied = ApplyUpdatesInternal(updates);
+  if (store_ && store_->CheckpointDue()) Checkpoint();
+  return applied;
 }
 
 size_t ShardedRlcService::ApplyUpdatesInternal(
@@ -1042,46 +884,40 @@ void ShardedRlcService::ReviveShard(uint32_t shard) {
                   << " out of range");
   const DiGraph& shard_graph = partition_.shard(shard).graph;
   std::unique_ptr<DynamicRlcIndex> fresh;
+  // Applies one update of the mutated graph to `fresh` when it is
+  // intra-shard.
+  auto apply_intra = [&](VertexId src, Label label, VertexId dst, EdgeOp op) {
+    if (partition_.ShardOf(src) != shard || partition_.ShardOf(dst) != shard) {
+      return;
+    }
+    if (op == EdgeOp::kInsert) {
+      fresh->InsertEdge(partition_.LocalOf(src), label, partition_.LocalOf(dst));
+    } else {
+      fresh->DeleteEdge(partition_.LocalOf(src), label, partition_.LocalOf(dst));
+    }
+  };
 
   // Durable path first: re-adopt the shard snapshot from the current
-  // generation and replay the WAL tail — the same machinery recovery uses,
-  // scoped to one shard. Insert/DeleteEdge are exact no-ops on
-  // already-applied updates, so the LSN-gated replay is idempotent even
-  // when a record straddles the snapshot.
-  if (wal_.is_open() && generation_ > 0) {
+  // generation and replay the WAL records between its LSN and the applied
+  // state — the replay recovery uses, scoped to one shard. A record above
+  // last_lsn() (an append that failed after its bytes landed) is not part
+  // of the applied state. Insert/DeleteEdge are exact no-ops on
+  // already-applied updates, so the replay is idempotent even when a
+  // record straddles the snapshot.
+  if (store_ && store_->generation() > 0) {
     try {
-      const std::string path =
-          GenDir(generation_) + "/shard-" + std::to_string(shard) + ".snap";
-      LoadedSnapshot snap = LoadSnapshotFile(path);
-      if (!snap.index) {
-        throw std::runtime_error(path + " has no embedded index");
-      }
-      auto dyn = std::make_unique<DynamicRlcIndex>(
-          shard_graph, std::move(*snap.index), options_.reseal);
-      dyn->RestoreOverlay(snap.inserted, snap.removed);
-      const std::string& dir = options_.durability.dir;
-      for (const uint64_t gen : ListGenerationFiles(dir, "wal-", ".log")) {
-        if (gen < generation_) continue;
-        const WalReadResult res = ReadWalFile(WalPath(dir, gen));
-        for (const WalRecord& record : res.records) {
-          if (record.lsn <= snap.applied_lsn) continue;
-          if (record.lsn > last_lsn_) break;  // beyond the applied state
-          for (const EdgeUpdate& e : record.updates) {
-            if (partition_.ShardOf(e.src) != shard ||
-                partition_.ShardOf(e.dst) != shard) {
-              continue;
-            }
-            if (e.op == EdgeOp::kInsert) {
-              dyn->InsertEdge(partition_.LocalOf(e.src), e.label,
-                              partition_.LocalOf(e.dst));
-            } else {
-              dyn->DeleteEdge(partition_.LocalOf(e.src), e.label,
-                              partition_.LocalOf(e.dst));
-            }
-          }
-        }
-      }
-      fresh = std::move(dyn);
+      const uint64_t gen = store_->generation();
+      uint64_t snap_lsn = 0;
+      std::tie(fresh, snap_lsn) = LoadDynamicSnapshot(
+          store_->GenerationPath(gen) + "/shard-" + std::to_string(shard) +
+              ".snap",
+          shard_graph, options_.reseal);
+      store_->ReplayWal(gen, snap_lsn, store_->last_lsn(),
+                        [&](const WalRecord& record) {
+                          for (const EdgeUpdate& e : record.updates) {
+                            apply_intra(e.src, e.label, e.dst, e.op);
+                          }
+                        });
     } catch (const std::exception&) {
       fresh.reset();  // unreadable durable state: fall back to a rebuild
     }
@@ -1098,18 +934,10 @@ void ShardedRlcService::ReviveShard(uint32_t shard) {
     fresh = std::make_unique<DynamicRlcIndex>(shard_graph, builder.Build(),
                                               options_.reseal);
     for (const EdgeUpdate& e : applied_inserts_) {
-      if (partition_.ShardOf(e.src) == shard &&
-          partition_.ShardOf(e.dst) == shard) {
-        fresh->InsertEdge(partition_.LocalOf(e.src), e.label,
-                          partition_.LocalOf(e.dst));
-      }
+      apply_intra(e.src, e.label, e.dst, EdgeOp::kInsert);
     }
     for (const auto& [src, label, dst] : deleted_base_) {
-      if (partition_.ShardOf(src) == shard &&
-          partition_.ShardOf(dst) == shard) {
-        fresh->DeleteEdge(partition_.LocalOf(src), label,
-                          partition_.LocalOf(dst));
-      }
+      apply_intra(src, label, dst, EdgeOp::kDelete);
     }
   }
 

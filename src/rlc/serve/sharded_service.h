@@ -56,7 +56,9 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -66,7 +68,6 @@
 #include "rlc/core/dynamic_index.h"
 #include "rlc/core/indexer.h"
 #include "rlc/core/rlc_index.h"
-#include "rlc/core/wal.h"
 #include "rlc/obs/metrics.h"
 #include "rlc/serve/circuit_breaker.h"
 #include "rlc/serve/compose.h"
@@ -179,14 +180,12 @@ struct ServiceStats {
   uint64_t compose_invalidations = 0;  ///< stale shard plans refreshed after
                                        ///< mutations
   uint64_t compose_expanded = 0;       ///< product states expanded on the fly
-  uint64_t frontier_hits = 0;          ///< always 0; goes with ServiceStats
-                                       ///< (ROADMAP Delete item 1)
-  uint64_t frontier_misses = 0;        ///< always 0; goes with ServiceStats
-                                       ///< (ROADMAP Delete item 1)
-  uint64_t frontier_evictions = 0;     ///< always 0; goes with ServiceStats
-                                       ///< (ROADMAP Delete item 1)
-  uint64_t compose_budget_boosts = 0;  ///< always 0; goes with ServiceStats
-                                       ///< (ROADMAP Delete item 1)
+  // Always 0. They stay until the benchmark change that drops perfbench's
+  // reads of them (ROADMAP item 6).
+  uint64_t frontier_hits = 0;
+  uint64_t frontier_misses = 0;
+  uint64_t frontier_evictions = 0;
+  uint64_t compose_budget_boosts = 0;
   uint64_t batches = 0;          ///< Execute calls admitted (a Query call
                                  ///< is a one-probe batch)
   uint64_t batch_groups = 0;     ///< (shard, MR) groups executed
@@ -263,7 +262,7 @@ class ShardedRlcService {
 
   /// Re-adopts one shard after its breaker tripped: in durable mode the
   /// shard index reloads from the newest snapshot generation and replays
-  /// the intra-shard WAL tail (PR 6's recovery path, scoped to one shard);
+  /// the intra-shard WAL tail (DurableStore::ReplayWal, scoped to one shard);
   /// otherwise it rebuilds from the partition's shard graph and re-applies
   /// the live mutation overlay. Either way the fresh index answers exactly
   /// on the current mutated graph, the constraint memo flushes (its MR ids
@@ -284,13 +283,16 @@ class ShardedRlcService {
   void Checkpoint();
 
   /// True when the service persists mutations (durability.dir was set).
-  bool durable() const { return wal_.is_open(); }
+  bool durable() const { return store_.has_value(); }
   /// LSN of the last acknowledged (logged) mutation batch; 0 before any.
-  uint64_t last_lsn() const { return last_lsn_; }
+  uint64_t last_lsn() const { return store_ ? store_->last_lsn() : 0; }
   /// Newest committed snapshot generation (durable mode).
-  uint64_t generation() const { return generation_; }
+  uint64_t generation() const { return store_ ? store_->generation() : 0; }
   /// What the constructor found on disk (durable mode).
-  const RecoveryInfo& recovery_info() const { return recovery_; }
+  const RecoveryInfo& recovery_info() const {
+    static const RecoveryInfo kNotDurable;
+    return store_ ? store_->recovery_info() : kNotDurable;
+  }
 
   uint32_t k() const { return options_.indexer.k; }
   const GraphPartition& partition() const { return partition_; }
@@ -371,32 +373,21 @@ class ShardedRlcService {
   /// True when the edge exists in the service's current mutated graph.
   bool EdgePresent(VertexId src, Label label, VertexId dst) const;
 
-  /// Batch validation shared by ApplyUpdates and WAL replay.
-  void ValidateUpdates(std::span<const EdgeUpdate> updates) const;
-
   /// The mutation routing of ApplyUpdates, without the durability wrapper.
   size_t ApplyUpdatesInternal(std::span<const EdgeUpdate> updates);
+
+  /// Runs task(shard) for every shard on a build pool of
+  /// ServiceOptions::build_threads.
+  void ForEachShard(const std::function<void(uint32_t)>& task) const;
 
   /// Builds every shard index from scratch — the non-recovery constructor
   /// path.
   void BuildIndexes();
 
-  /// Durable-mode recovery: loads the newest usable generation (parallel
-  /// per-shard snapshot loads). Returns false when the directory holds no
-  /// generations (fresh store); throws when generations exist but none is
-  /// loadable.
-  bool TryRecover();
-
-  /// Loads one generation directory into the service, or throws. The
-  /// caller resets partial state on failure.
-  void LoadGeneration(uint64_t gen);
-
-  /// Replays wal-<G'>.log for every G' >= from_gen, LSN-gated.
-  void ReplayServiceWal(uint64_t from_gen);
-
-  std::string GenDir(uint64_t gen) const {
-    return options_.durability.dir + "/gen-" + std::to_string(gen);
-  }
+  /// Loads one generation directory (parallel per-shard snapshot loads)
+  /// into the service and returns its applied_lsn, or throws. The caller
+  /// resets partial state on failure.
+  uint64_t LoadGeneration(const std::string& gdir);
 
   const DiGraph& g_;
   ServiceOptions options_;
@@ -475,13 +466,8 @@ class ShardedRlcService {
   BreakerSlot compose_breaker_;
   double partition_seconds_ = 0.0;
   double index_build_seconds_ = 0.0;
-  // Durability state (durable mode only; wal_ stays closed otherwise).
-  WalWriter wal_;
-  DurabilityManifest manifest_;
-  uint64_t last_lsn_ = 0;
-  uint64_t generation_ = 0;
-  uint64_t max_gen_seen_ = 0;
-  RecoveryInfo recovery_;
+  // The generation protocol over <dir>/gen-<G>/ (durable mode only).
+  std::optional<DurableStore> store_;
 };
 
 }  // namespace rlc

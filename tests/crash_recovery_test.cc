@@ -14,9 +14,11 @@
 // Around it: WAL round-trip/torn-tail/rollback units, injected-error
 // (ENOSPC, short write) probes that must leave the store usable, recovery
 // fallback to the previous generation when the newest is corrupt, refusal
-// to silently rebuild over an unloadable store, and a byte-flip fuzz over
-// whole store directories — every flip either recovers a clean workload
-// prefix or throws; never UB, never a wrong answer. Tests named *Deep* run
+// to silently rebuild over an unloadable store, rejection of an invalid
+// batch before it is logged, and a byte-flip fuzz over whole store
+// directories — every flip either recovers a clean workload prefix or
+// throws; never UB, never a wrong answer. The fallback, injected-error and
+// byte-flip tests run against both durable stores. Tests named *Deep* run
 // as a separate slow-labeled ctest entry (nightly); the rest stay in the
 // per-PR suite.
 
@@ -157,6 +159,100 @@ DurabilityOptions StoreOptions(const std::string& dir) {
   opts.dir = dir;
   opts.checkpoint_wal_bytes = 0;  // tests checkpoint explicitly
   return opts;
+}
+
+ServiceOptions DurableServiceOptions(const std::string& dir) {
+  ServiceOptions options;
+  options.partition.num_shards = 3;
+  options.indexer.k = 2;
+  options.build_threads = 2;
+  options.durability.dir = dir;
+  options.durability.checkpoint_wal_bytes = 0;
+  return options;
+}
+
+void ExpectServiceIsPrefix(ShardedRlcService& service, const DiGraph& g,
+                           std::span<const EdgeUpdate> updates, size_t n) {
+  const std::vector<Edge> want = PrefixEdges(g, updates, n);
+  const DiGraph mutated(g.num_vertices(), want, g.num_labels(),
+                        /*dedup_parallel=*/false);
+  const RlcIndex oracle = BuildSealed(mutated);
+  Rng rng(0xEE + n);
+  for (int probe = 0; probe < 400; ++probe) {
+    const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
+    const auto t = static_cast<VertexId>(rng.Below(g.num_vertices()));
+    const LabelSeq c = RandomPrimitiveSeq(1 + rng.Below(2), g.num_labels(), rng);
+    ASSERT_EQ(oracle.Query(s, t, c), service.Query(s, t, c))
+        << "s=" << s << " t=" << t << " L=" << c.ToString() << " n=" << n;
+  }
+}
+
+// The two durable stores behind one face, so a recovery test can run
+// against both: the core store (one snapshot file per generation) and the
+// sharded service (a gen-<G>/ directory of per-shard snapshots).
+enum class StoreKind { kCore, kService };
+constexpr StoreKind kBothStores[] = {StoreKind::kCore, StoreKind::kService};
+
+const char* KindName(StoreKind kind) {
+  return kind == StoreKind::kCore ? "core" : "service";
+}
+
+class AnyStore {
+ public:
+  AnyStore(StoreKind kind, const DiGraph& g, const std::string& dir) {
+    if (kind == StoreKind::kCore) {
+      core_ = std::make_unique<DurableDynamicIndex>(
+          g, StoreOptions(dir), [&] { return BuildSealed(g); });
+    } else {
+      service_ = std::make_unique<ShardedRlcService>(g, DurableServiceOptions(dir));
+    }
+  }
+
+  void ApplyUpdates(std::span<const EdgeUpdate> updates) {
+    core_ ? core_->ApplyUpdates(updates) : service_->ApplyUpdates(updates);
+  }
+  void Checkpoint() { core_ ? core_->Checkpoint() : service_->Checkpoint(); }
+  uint64_t last_lsn() const {
+    return core_ ? core_->last_lsn() : service_->last_lsn();
+  }
+  uint64_t generation() const {
+    return core_ ? core_->generation() : service_->generation();
+  }
+  const RecoveryInfo& recovery_info() const {
+    return core_ ? core_->recovery_info() : service_->recovery_info();
+  }
+
+  /// State == base + first `n` updates. The service exposes no edge list,
+  /// so it is always checked by answers; `probe_queries` applies to the core.
+  void ExpectIsPrefix(const DiGraph& g, std::span<const EdgeUpdate> updates,
+                      size_t n, bool probe_queries = true) {
+    if (core_) {
+      ExpectStateIsPrefix(*core_, g, updates, n, probe_queries);
+    } else {
+      ExpectServiceIsPrefix(*service_, g, updates, n);
+    }
+  }
+
+ private:
+  std::unique_ptr<DurableDynamicIndex> core_;
+  std::unique_ptr<ShardedRlcService> service_;
+};
+
+/// One snapshot file per on-disk generation, oldest first: the core's
+/// snapshot-<G>.snap, or the service's gen-<G>/shard-1.snap.
+std::vector<std::string> GenerationSnapshots(StoreKind kind,
+                                             const std::string& dir) {
+  std::vector<std::string> files;
+  if (kind == StoreKind::kCore) {
+    for (const uint64_t gen : ListGenerationFiles(dir, "snapshot-", ".snap")) {
+      files.push_back(SnapshotPath(dir, gen));
+    }
+  } else {
+    for (const uint64_t gen : ListGenerationFiles(dir, "gen-", "")) {
+      files.push_back(dir + "/gen-" + std::to_string(gen) + "/shard-1.snap");
+    }
+  }
+  return files;
 }
 
 void FlipByte(const std::string& path, size_t offset, uint8_t mask) {
@@ -312,70 +408,102 @@ TEST(DurableIndexTest, AutoCheckpointAdvancesGenerations) {
 TEST(DurableIndexTest, CorruptNewestSnapshotFallsBackOneGeneration) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 10, 0x44);
-  const std::string dir = TempDir("fallback");
-  uint64_t newest = 0;
-  {
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
-    for (size_t i = 0; i < updates.size(); ++i) {
-      store.ApplyUpdates(std::span(&updates[i], 1));
-      if (i == 6) store.Checkpoint();
+  for (const StoreKind kind : kBothStores) {
+    SCOPED_TRACE(KindName(kind));
+    const std::string dir = TempDir("fallback");
+    uint64_t newest = 0;
+    {
+      AnyStore store(kind, g, dir);
+      for (size_t i = 0; i < updates.size(); ++i) {
+        store.ApplyUpdates(std::span(&updates[i], 1));
+        if (i == 6) store.Checkpoint();
+      }
+      store.Checkpoint();
+      newest = store.generation();
     }
-    store.Checkpoint();
-    // Acknowledge two more batches into the newest generation's WAL... no:
-    // the workload is spent; the tail case is covered by the mid-stream
-    // checkpoint above. Remember which snapshot to corrupt.
-    newest = store.generation();
+    FlipByte(GenerationSnapshots(kind, dir).back(), 200, 0x08);
+    AnyStore store(kind, g, dir);
+    EXPECT_TRUE(store.recovery_info().recovered);
+    EXPECT_TRUE(store.recovery_info().fell_back);
+    EXPECT_LT(store.recovery_info().generation, newest);
+    // The newer generation's WAL still replays: nothing acknowledged is lost.
+    EXPECT_EQ(store.last_lsn(), updates.size());
+    store.ExpectIsPrefix(g, updates, updates.size());
+    fs::remove_all(dir);
   }
-  FlipByte(SnapshotPath(dir, newest), 200, 0x08);
-  DurableDynamicIndex store(g, StoreOptions(dir),
-                            [&] { return BuildSealed(g); });
-  EXPECT_TRUE(store.recovery_info().recovered);
-  EXPECT_TRUE(store.recovery_info().fell_back);
-  EXPECT_LT(store.recovery_info().generation, newest);
-  // The newer generation's WAL still replays: nothing acknowledged is lost.
-  EXPECT_EQ(store.last_lsn(), updates.size());
-  ExpectStateIsPrefix(store, g, updates, updates.size());
-  fs::remove_all(dir);
 }
 
 TEST(DurableIndexTest, CorruptManifestFallsBackToDirectoryScan) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 8, 0x55);
-  const std::string dir = TempDir("manifest");
-  {
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
-    for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
-    store.Checkpoint();
+  for (const StoreKind kind : kBothStores) {
+    SCOPED_TRACE(KindName(kind));
+    const std::string dir = TempDir("manifest");
+    {
+      AnyStore store(kind, g, dir);
+      for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
+      store.Checkpoint();
+    }
+    FlipByte(dir + "/" + std::string(kManifestFileName), 3, 0xFF);
+    AnyStore store(kind, g, dir);
+    EXPECT_TRUE(store.recovery_info().recovered);
+    EXPECT_TRUE(store.recovery_info().fell_back);
+    EXPECT_FALSE(store.recovery_info().fallback_reason.empty());
+    EXPECT_EQ(store.last_lsn(), updates.size());
+    store.ExpectIsPrefix(g, updates, updates.size(), false);
+    fs::remove_all(dir);
   }
-  FlipByte(dir + "/" + std::string(kManifestFileName), 3, 0xFF);
-  DurableDynamicIndex store(g, StoreOptions(dir),
-                            [&] { return BuildSealed(g); });
-  EXPECT_TRUE(store.recovery_info().recovered);
-  EXPECT_TRUE(store.recovery_info().fell_back);
-  EXPECT_FALSE(store.recovery_info().fallback_reason.empty());
-  EXPECT_EQ(store.last_lsn(), updates.size());
-  ExpectStateIsPrefix(store, g, updates, updates.size(), false);
-  fs::remove_all(dir);
 }
 
 TEST(DurableIndexTest, UnrecoverableStoreThrowsInsteadOfRebuilding) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 4, 0x66);
-  const std::string dir = TempDir("unrecoverable");
+  for (const StoreKind kind : kBothStores) {
+    SCOPED_TRACE(KindName(kind));
+    const std::string dir = TempDir("unrecoverable");
+    {
+      AnyStore store(kind, g, dir);
+      for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
+      store.Checkpoint();
+    }
+    for (const std::string& snap : GenerationSnapshots(kind, dir)) {
+      FlipByte(snap, 64, 0xFF);
+    }
+    EXPECT_THROW(AnyStore(kind, g, dir), std::runtime_error);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(DurableIndexTest, InvalidBatchIsRejectedBeforeLogging) {
+  // A batch with one valid insert and one invalid update must be rejected
+  // whole: nothing logged (a logged invalid batch would make every later
+  // open throw during WAL replay), nothing applied.
+  const DiGraph g = TestGraph();
+  const auto updates = MakeWorkload(g, 3, 0x13);
+  const std::string dir = TempDir("invalid");
+  EdgeUpdate valid{0, 0, 0, EdgeOp::kInsert};
   {
     DurableDynamicIndex store(g, StoreOptions(dir),
                               [&] { return BuildSealed(g); });
-    for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
-    store.Checkpoint();
+    store.ApplyUpdates(updates);
+    while (store.dynamic().HasEdge(valid.src, valid.label, valid.dst)) {
+      ++valid.dst;
+    }
+    const std::vector<std::vector<EdgeUpdate>> invalid_batches = {
+        {valid, {g.num_vertices() + 998, 0, 1, EdgeOp::kInsert}},
+        {valid, {1, g.num_labels(), 2, EdgeOp::kInsert}},
+    };
+    for (const auto& batch : invalid_batches) {
+      EXPECT_THROW(store.ApplyUpdates(batch), std::invalid_argument);
+      EXPECT_EQ(store.last_lsn(), 1u);
+      EXPECT_FALSE(store.dynamic().HasEdge(valid.src, valid.label, valid.dst));
+    }
   }
-  for (const uint64_t gen : ListGenerationFiles(dir, "snapshot-", ".snap")) {
-    FlipByte(SnapshotPath(dir, gen), 64, 0xFF);
-  }
-  EXPECT_THROW(DurableDynamicIndex(g, StoreOptions(dir),
-                                   [&] { return BuildSealed(g); }),
-               std::runtime_error);
+  DurableDynamicIndex store(g, StoreOptions(dir),
+                            [&] { return BuildSealed(g); });
+  EXPECT_EQ(store.last_lsn(), 1u);
+  EXPECT_FALSE(store.dynamic().HasEdge(valid.src, valid.label, valid.dst));
+  ExpectStateIsPrefix(store, g, updates, updates.size());
   fs::remove_all(dir);
 }
 
@@ -386,41 +514,41 @@ TEST(DurableIndexTest, UnrecoverableStoreThrowsInsteadOfRebuilding) {
 TEST(DurableIndexTest, InjectedErrorAtEveryPersistFailpointIsRecoverable) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 6, 0x77);
-  for (const char* name : failpoints::kPersistPath) {
-    SCOPED_TRACE(name);
-    const std::string dir = TempDir("err");
-    size_t acked = 0;
-    {
-      DurableDynamicIndex store(g, StoreOptions(dir),
-                                [&] { return BuildSealed(g); });
-      Failpoints::Instance().Set(name, FailpointAction::kError);
-      bool failed = false;
-      for (const EdgeUpdate& u : updates) {
+  for (const StoreKind kind : kBothStores) {
+    for (const char* name : failpoints::kPersistPath) {
+      SCOPED_TRACE(std::string(KindName(kind)) + " " + name);
+      const std::string dir = TempDir("err");
+      size_t acked = 0;
+      {
+        AnyStore store(kind, g, dir);
+        Failpoints::Instance().Set(name, FailpointAction::kError);
+        bool failed = false;
+        for (const EdgeUpdate& u : updates) {
+          try {
+            store.ApplyUpdates(std::span(&u, 1));
+            ++acked;
+          } catch (const std::runtime_error&) {
+            failed = true;
+            break;  // batch not acknowledged; stop so the prefix stays exact
+          }
+        }
         try {
-          store.ApplyUpdates(std::span(&u, 1));
-          ++acked;
+          store.Checkpoint();
         } catch (const std::runtime_error&) {
           failed = true;
-          break;  // batch not acknowledged; stop so the prefix stays exact
         }
-      }
-      try {
+        EXPECT_TRUE(failed) << "failpoint " << name << " never fired";
+        Failpoints::Instance().Clear();
+        // The store must still work: acknowledged state intact, a clean
+        // checkpoint possible.
+        store.ExpectIsPrefix(g, updates, acked, false);
         store.Checkpoint();
-      } catch (const std::runtime_error&) {
-        failed = true;
       }
-      EXPECT_TRUE(failed) << "failpoint " << name << " never fired";
-      Failpoints::Instance().Clear();
-      // The store must still work: acknowledged state intact, a clean
-      // checkpoint possible.
-      ExpectStateIsPrefix(store, g, updates, acked, false);
-      store.Checkpoint();
+      AnyStore store(kind, g, dir);
+      EXPECT_EQ(store.last_lsn(), acked);
+      store.ExpectIsPrefix(g, updates, acked, false);
+      fs::remove_all(dir);
     }
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
-    EXPECT_EQ(store.last_lsn(), acked);
-    ExpectStateIsPrefix(store, g, updates, acked, false);
-    fs::remove_all(dir);
   }
 }
 
@@ -616,22 +744,23 @@ TEST(CrashRecoveryTest, EveryPersistFailpointIsActuallyOnThePath) {
 // Byte-flip fuzz over whole store directories: recovery either lands on a
 // clean workload prefix or throws — never UB, never a wrong answer.
 
-void RunStoreByteFlipFuzz(int trials, uint64_t seed, bool probe_queries) {
+void RunStoreByteFlipFuzz(StoreKind kind, int trials, uint64_t seed,
+                          bool probe_queries) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 8, 0xCD);
   const std::string golden = TempDir("flip_golden");
   {
-    DurableDynamicIndex store(g, StoreOptions(golden),
-                              [&] { return BuildSealed(g); });
+    AnyStore store(kind, g, golden);
     for (size_t i = 0; i < updates.size(); ++i) {
       store.ApplyUpdates(std::span(&updates[i], 1));
       if (i == 4) store.Checkpoint();
     }
   }
+  // Every file of the store, generation directories included.
   std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator(golden)) {
+  for (const auto& entry : fs::recursive_directory_iterator(golden)) {
     if (entry.is_regular_file() && entry.file_size() > 0) {
-      files.push_back(entry.path().filename().string());
+      files.push_back(fs::relative(entry.path(), golden).string());
     }
   }
   ASSERT_FALSE(files.empty());
@@ -649,11 +778,10 @@ void RunStoreByteFlipFuzz(int trials, uint64_t seed, bool probe_queries) {
     SCOPED_TRACE(victim + " offset " + std::to_string(offset) + " mask " +
                  std::to_string(mask));
     try {
-      DurableDynamicIndex store(g, StoreOptions(dir),
-                                [&] { return BuildSealed(g); });
+      AnyStore store(kind, g, dir);
       const uint64_t n = store.last_lsn();
       ASSERT_LE(n, updates.size());
-      ExpectStateIsPrefix(store, g, updates, n, probe_queries);
+      store.ExpectIsPrefix(g, updates, n, probe_queries);
       ++recovered;
     } catch (const std::exception&) {
       ++rejected;  // clean refusal is a valid outcome
@@ -668,42 +796,24 @@ void RunStoreByteFlipFuzz(int trials, uint64_t seed, bool probe_queries) {
 }
 
 TEST(CrashRecoveryTest, ByteFlipStoreFuzz) {
-  RunStoreByteFlipFuzz(25, 0xF00D, true);
+  RunStoreByteFlipFuzz(StoreKind::kCore, 25, 0xF00D, true);
 }
 
 TEST(CrashRecoveryTest, DeepByteFlipStoreFuzz) {
-  RunStoreByteFlipFuzz(150, 0xBEEF, false);
+  RunStoreByteFlipFuzz(StoreKind::kCore, 150, 0xBEEF, false);
+}
+
+TEST(CrashRecoveryTest, ServiceByteFlipStoreFuzz) {
+  RunStoreByteFlipFuzz(StoreKind::kService, 20, 0xF00D, true);
+}
+
+TEST(CrashRecoveryTest, DeepServiceByteFlipStoreFuzz) {
+  RunStoreByteFlipFuzz(StoreKind::kService, 100, 0xBEEF, true);
 }
 
 // ---------------------------------------------------------------------------
 // Service durability: per-shard snapshots, one service WAL, parallel
 // recovery — same guarantees, proved the same two ways.
-
-ServiceOptions DurableServiceOptions(const std::string& dir) {
-  ServiceOptions options;
-  options.partition.num_shards = 3;
-  options.indexer.k = 2;
-  options.build_threads = 2;
-  options.durability.dir = dir;
-  options.durability.checkpoint_wal_bytes = 0;
-  return options;
-}
-
-void ExpectServiceIsPrefix(ShardedRlcService& service, const DiGraph& g,
-                           std::span<const EdgeUpdate> updates, size_t n) {
-  const std::vector<Edge> want = PrefixEdges(g, updates, n);
-  const DiGraph mutated(g.num_vertices(), want, g.num_labels(),
-                        /*dedup_parallel=*/false);
-  const RlcIndex oracle = BuildSealed(mutated);
-  Rng rng(0xEE + n);
-  for (int probe = 0; probe < 400; ++probe) {
-    const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.Below(g.num_vertices()));
-    const LabelSeq c = RandomPrimitiveSeq(1 + rng.Below(2), g.num_labels(), rng);
-    ASSERT_EQ(oracle.Query(s, t, c), service.Query(s, t, c))
-        << "s=" << s << " t=" << t << " L=" << c.ToString() << " n=" << n;
-  }
-}
 
 TEST(ServiceDurabilityTest, ReopenRecoversService) {
   const DiGraph g = TestGraph(60, 240, 3, 0x5EED);
@@ -767,9 +877,11 @@ TEST(ServiceDurabilityTest, RecoveredShardsAliasPartitionSubgraphs) {
 TEST(ServiceDurabilityTest, KillAtPersistFailpoints) {
   const DiGraph g = TestGraph(60, 240, 3, 0x5EED);
   const auto updates = MakeWorkload(g, 8, 0xEF);
-  // The service shares the WAL/snapshot/manifest code paths with the core
-  // store, which the exhaustive loop above covers; here one site per file
-  // kind proves the service wiring end to end.
+  // Both stores run one generation protocol (DurableStore, durable_index.h),
+  // which the exhaustive loop above kills at every site through the core
+  // store. The service's own parts are its state: a service WAL record, the
+  // gen-<G>/ snapshot writes and loads. One site per file kind proves them
+  // end to end here; DeepKillAtEveryPersistFailpoint below covers the rest.
   for (const char* name :
        {failpoints::kWalAppendBeforeWrite, failpoints::kWalAppendAfterSync,
         failpoints::kIndexSaveBeforeRename,
