@@ -17,17 +17,13 @@ struct DynMetrics {
   rlc::obs::Histogram& insert_ns;
   rlc::obs::Histogram& delete_ns;
   rlc::obs::Histogram& reseal_merge_ns;
-  rlc::obs::Histogram& reseal_swap_ns;
   rlc::obs::Counter& reseals;
-  rlc::obs::Counter& deltas_replayed;
   static DynMetrics& Get() {
     rlc::obs::Registry& reg = rlc::obs::Registry::Global();
     static DynMetrics m{reg.GetHistogram("dyn.insert_ns"),
                         reg.GetHistogram("dyn.delete_ns"),
                         reg.GetHistogram("dyn.reseal.merge_ns"),
-                        reg.GetHistogram("dyn.reseal.swap_ns"),
-                        reg.GetCounter("dyn.reseal.count"),
-                        reg.GetCounter("dyn.reseal.deltas_replayed")};
+                        reg.GetCounter("dyn.reseal.count")};
     return m;
   }
 };
@@ -56,15 +52,11 @@ DynamicRlcIndex::DynamicRlcIndex(const DiGraph& g, RlcIndex index,
                                  ResealPolicy policy)
     : g_(g),
       policy_(policy),
-      current_(std::make_shared<RlcIndex>(std::move(index))) {
-  RLC_REQUIRE(current_->sealed(),
+      index_(std::move(index)) {
+  RLC_REQUIRE(index_.sealed(),
               "DynamicRlcIndex: the wrapped index must be sealed");
-  RLC_REQUIRE(current_->num_vertices() == g.num_vertices(),
+  RLC_REQUIRE(index_.num_vertices() == g.num_vertices(),
               "DynamicRlcIndex: index and graph vertex counts differ");
-}
-
-DynamicRlcIndex::~DynamicRlcIndex() {
-  if (reseal_thread_.joinable()) reseal_thread_.join();
 }
 
 bool DynamicRlcIndex::BaseEdgeRemoved(VertexId u, Label l, VertexId v) const {
@@ -124,7 +116,6 @@ bool DynamicRlcIndex::InsertEdge(VertexId u, Label label, VertexId v) {
                   << " outside the base graph's alphabet (new labels require"
                      " a rebuild)");
   obs::ScopedSpan span(DynMetrics::Get().insert_ns, "dyn.insert");
-  TryCompleteReseal(/*wait=*/false);
   if (HasEdge(u, label, v)) {
     ++stats_.edges_duplicate;
     return false;
@@ -157,7 +148,6 @@ bool DynamicRlcIndex::DeleteEdge(VertexId u, Label label, VertexId v) {
               "DynamicRlcIndex::DeleteEdge: label " << label
                   << " outside the base graph's alphabet");
   obs::ScopedSpan span(DynMetrics::Get().delete_ns, "dyn.delete");
-  TryCompleteReseal(/*wait=*/false);
   if (!HasEdge(u, label, v)) {
     ++stats_.edges_delete_missing;
     return false;
@@ -228,7 +218,7 @@ size_t DynamicRlcIndex::ApplyUpdates(std::span<const EdgeUpdate> updates) {
 void DynamicRlcIndex::CollectWords(VertexId start, bool backward,
                                    std::set<LabelSeq>& words) const {
   words.insert(LabelSeq{});
-  const uint32_t max_len = current_->k() - 1;
+  const uint32_t max_len = index_.k() - 1;
   if (max_len == 0) return;
   std::vector<VertexSeq> queue{{start, LabelSeq{}}};
   std::unordered_set<VertexSeq, VertexSeqHash> seen{queue.front()};
@@ -262,7 +252,7 @@ std::vector<VertexId> DynamicRlcIndex::AlignedBoundary(VertexId start,
                                                        const LabelSeq& kernel,
                                                        bool backward) {
   const uint64_t states =
-      static_cast<uint64_t>(g_.num_vertices()) * current_->k();
+      static_cast<uint64_t>(g_.num_vertices()) * index_.k();
   if (visit_stamp_.size() < states) visit_stamp_.assign(states, 0);
   ++epoch_;
 
@@ -300,7 +290,7 @@ bool DynamicRlcIndex::AlignedConnects(VertexId u, VertexId v,
                                       const LabelSeq& kernel,
                                       const EdgeUpdate* exclude) {
   const uint64_t states =
-      static_cast<uint64_t>(g_.num_vertices()) * current_->k();
+      static_cast<uint64_t>(g_.num_vertices()) * index_.k();
   if (visit_stamp_.size() < states) visit_stamp_.assign(states, 0);
   ++epoch_;
 
@@ -340,7 +330,7 @@ std::vector<VertexId> DynamicRlcIndex::AlignedClosure(VertexId start,
                                                       const LabelSeq& kernel,
                                                       bool backward) {
   const uint64_t states =
-      static_cast<uint64_t>(g_.num_vertices()) * current_->k();
+      static_cast<uint64_t>(g_.num_vertices()) * index_.k();
   if (visit_stamp_.size() < states) visit_stamp_.assign(states, 0);
   ++epoch_;
 
@@ -374,49 +364,41 @@ std::vector<VertexId> DynamicRlcIndex::AlignedClosure(VertexId start,
 }
 
 void DynamicRlcIndex::AppendDelta(bool is_out, VertexId v, uint32_t hub_aid,
-                                  MrId mr, const LabelSeq& seq) {
+                                  MrId mr) {
   if (is_out) {
-    current_->AddDeltaOut(v, hub_aid, mr);
+    index_.AddDeltaOut(v, hub_aid, mr);
   } else {
-    current_->AddDeltaIn(v, hub_aid, mr);
-  }
-  if (reseal_thread_.joinable()) {
-    delta_log_.push_back({DeltaRecord::Kind::kAppend, is_out, v, hub_aid, seq});
+    index_.AddDeltaIn(v, hub_aid, mr);
   }
   ++stats_.delta_entries_added;
 }
 
 void DynamicRlcIndex::SuppressEntry(bool is_out, VertexId v, uint32_t hub_aid,
-                                    MrId mr, const LabelSeq& seq) {
+                                    MrId mr) {
   if (is_out) {
-    current_->SuppressOut(v, hub_aid, mr);
+    index_.SuppressOut(v, hub_aid, mr);
   } else {
-    current_->SuppressIn(v, hub_aid, mr);
-  }
-  if (reseal_thread_.joinable()) {
-    delta_log_.push_back({DeltaRecord::Kind::kSuppress, is_out, v, hub_aid, seq});
+    index_.SuppressIn(v, hub_aid, mr);
   }
   ++stats_.entries_suppressed;
 }
 
-void DynamicRlcIndex::AddCoverEntry(VertexId x, VertexId y, MrId mr,
-                                    const LabelSeq& seq) {
-  const uint32_t ax = current_->AccessId(x);
-  const uint32_t ay = current_->AccessId(y);
+void DynamicRlcIndex::AddCoverEntry(VertexId x, VertexId y, MrId mr) {
+  const uint32_t ax = index_.AccessId(x);
+  const uint32_t ay = index_.AccessId(y);
   // Hub = the higher-ranked (smaller access id) endpoint; either entry
   // makes Case 2 of the query fire for (x, y).
   if (ax <= ay) {
-    AppendDelta(/*is_out=*/false, y, ax, mr, seq);
+    AppendDelta(/*is_out=*/false, y, ax, mr);
   } else {
-    AppendDelta(/*is_out=*/true, x, ay, mr, seq);
+    AppendDelta(/*is_out=*/true, x, ay, mr);
   }
 }
 
 void DynamicRlcIndex::CoverViaEdgeHub(VertexId hub, MrId mr,
-                                      const LabelSeq& kernel,
                                       std::span<const VertexId> upstream,
                                       std::span<const VertexId> downstream) {
-  const uint32_t hub_aid = current_->AccessId(hub);
+  const uint32_t hub_aid = index_.AccessId(hub);
   bool hub_in_s = false;
   bool hub_in_t = false;
   for (const VertexId s : upstream) {
@@ -425,8 +407,8 @@ void DynamicRlcIndex::CoverViaEdgeHub(VertexId hub, MrId mr,
       hub_in_s = true;  // pairs (hub, t) ride on the Lin(t) entries (Case 2)
       continue;
     }
-    if (!current_->HasOutEntry(s, hub_aid, mr)) {
-      AppendDelta(/*is_out=*/true, s, hub_aid, mr, kernel);
+    if (!index_.HasOutEntry(s, hub_aid, mr)) {
+      AppendDelta(/*is_out=*/true, s, hub_aid, mr);
     }
   }
   for (const VertexId t : downstream) {
@@ -435,19 +417,19 @@ void DynamicRlcIndex::CoverViaEdgeHub(VertexId hub, MrId mr,
       hub_in_t = true;  // pairs (s, hub) ride on the Lout(s) entries
       continue;
     }
-    if (!current_->HasInEntry(t, hub_aid, mr)) {
-      AppendDelta(/*is_out=*/false, t, hub_aid, mr, kernel);
+    if (!index_.HasInEntry(t, hub_aid, mr)) {
+      AppendDelta(/*is_out=*/false, t, hub_aid, mr);
     }
   }
   // The (hub, hub) cycle pair is the one combination the skips above leave
   // uncovered; give it its own Case-2 self entry when it is real.
-  if (hub_in_s && hub_in_t && !current_->QueryInterned(hub, hub, mr)) {
-    AppendDelta(/*is_out=*/false, hub, hub_aid, mr, kernel);
+  if (hub_in_s && hub_in_t && !index_.QueryInterned(hub, hub, mr)) {
+    AppendDelta(/*is_out=*/false, hub, hub_aid, mr);
   }
 }
 
 void DynamicRlcIndex::IncrementalUpdate(VertexId u, Label l, VertexId v) {
-  const uint32_t k = current_->k();
+  const uint32_t k = index_.k();
   // Phase 1: candidate kernels L = α ∘ l ∘ β around the new edge, with the
   // edge at 1-based offset |α|+1. Non-primitive combinations are skipped:
   // their primitive root is itself a (shorter) candidate.
@@ -504,31 +486,31 @@ void DynamicRlcIndex::IncrementalUpdate(VertexId u, Label l, VertexId v) {
     // endpoint lies on every witness, so |S| + |T| entries suffice and the
     // quadratic pair sweep is skipped. Middle offsets (|L| >= 3 only) have
     // no boundary endpoint and always take the exact pairwise path.
-    MrId mr = current_->FindMr(kernel);
+    MrId mr = index_.FindMr(kernel);
     constexpr uint64_t kSmallCoverPairs = 256;
     const bool boundary_offset = offset == 1 || offset == len;
     if (boundary_offset && static_cast<uint64_t>(upstream.size()) *
                                    downstream.size() >
                                kSmallCoverPairs) {
-      if (mr == kInvalidMrId) mr = current_->mr_table().Intern(kernel);
+      if (mr == kInvalidMrId) mr = index_.mr_table().Intern(kernel);
       // offset == len puts v at a copy start right after the edge; offset
       // == 1 puts u at one right before it (for |L| == 1 both hold).
-      CoverViaEdgeHub(offset == len ? v : u, mr, kernel, upstream, downstream);
+      CoverViaEdgeHub(offset == len ? v : u, mr, upstream, downstream);
       continue;
     }
     for (const VertexId s : upstream) {
       for (const VertexId t : downstream) {
         ++stats_.pairs_examined;
-        if (mr != kInvalidMrId && current_->QueryInterned(s, t, mr)) continue;
-        if (mr == kInvalidMrId) mr = current_->mr_table().Intern(kernel);
-        AddCoverEntry(s, t, mr, kernel);
+        if (mr != kInvalidMrId && index_.QueryInterned(s, t, mr)) continue;
+        if (mr == kInvalidMrId) mr = index_.mr_table().Intern(kernel);
+        AddCoverEntry(s, t, mr);
       }
     }
   }
 }
 
 void DynamicRlcIndex::IncrementalDelete(VertexId u, Label l, VertexId v) {
-  const uint32_t k = current_->k();
+  const uint32_t k = index_.k();
   // Phase 1 (pre-delete graph, the edge still present): candidate kernels
   // L = α ∘ l ∘ β around the edge and their copy-boundary sets S / T —
   // every entry whose witness used the edge claims a pair in some S x T.
@@ -562,7 +544,7 @@ void DynamicRlcIndex::IncrementalDelete(VertexId u, Label l, VertexId v) {
   std::map<std::pair<LabelSeq, uint32_t>, bool> detour_verdicts;
   for (const auto& [kernel, offset] : keys) {
     ++stats_.kernels_examined;
-    const MrId mr = current_->FindMr(kernel);
+    const MrId mr = index_.FindMr(kernel);
     if (mr == kInvalidMrId) continue;
     const uint32_t len = kernel.size();
     // Aligned-detour rule-out, evaluated on "pre-delete minus the edge" —
@@ -632,23 +614,23 @@ void DynamicRlcIndex::IncrementalDelete(VertexId u, Label l, VertexId v) {
         for (const IndexEntry& e : entries) {
           if (e.mr != cand.mr) continue;
           if (std::binary_search(cand.down.begin(), cand.down.end(),
-                                 current_->VertexOfAid(e.hub_aid))) {
+                                 index_.VertexOfAid(e.hub_aid))) {
             hubs.push_back(e.hub_aid);
           }
         }
       };
-      collect(current_->Lout(s));
-      collect(current_->DeltaLout(s));
+      collect(index_.Lout(s));
+      collect(index_.DeltaLout(s));
       for (const uint32_t hub_aid : hubs) {
         // Skip entries another candidate already suppressed (the raw CSR
         // span still shows tombstoned entries).
-        if (!current_->HasOutEntry(s, hub_aid, cand.mr)) continue;
+        if (!index_.HasOutEntry(s, hub_aid, cand.mr)) continue;
         const std::vector<VertexId>& reach = closure_of(
-            /*backward=*/true, kernel, current_->VertexOfAid(hub_aid));
+            /*backward=*/true, kernel, index_.VertexOfAid(hub_aid));
         if (std::binary_search(reach.begin(), reach.end(), s)) {
           continue;  // another witness survives — the entry stays
         }
-        SuppressEntry(/*is_out=*/true, s, hub_aid, cand.mr, kernel);
+        SuppressEntry(/*is_out=*/true, s, hub_aid, cand.mr);
         dead_out.insert({cand.mr, s});
       }
     }
@@ -660,21 +642,21 @@ void DynamicRlcIndex::IncrementalDelete(VertexId u, Label l, VertexId v) {
         for (const IndexEntry& e : entries) {
           if (e.mr != cand.mr) continue;
           if (std::binary_search(cand.up.begin(), cand.up.end(),
-                                 current_->VertexOfAid(e.hub_aid))) {
+                                 index_.VertexOfAid(e.hub_aid))) {
             hubs.push_back(e.hub_aid);
           }
         }
       };
-      collect(current_->Lin(t));
-      collect(current_->DeltaLin(t));
+      collect(index_.Lin(t));
+      collect(index_.DeltaLin(t));
       for (const uint32_t hub_aid : hubs) {
-        if (!current_->HasInEntry(t, hub_aid, cand.mr)) continue;
+        if (!index_.HasInEntry(t, hub_aid, cand.mr)) continue;
         const std::vector<VertexId>& reach = closure_of(
-            /*backward=*/false, kernel, current_->VertexOfAid(hub_aid));
+            /*backward=*/false, kernel, index_.VertexOfAid(hub_aid));
         if (std::binary_search(reach.begin(), reach.end(), t)) {
           continue;
         }
-        SuppressEntry(/*is_out=*/false, t, hub_aid, cand.mr, kernel);
+        SuppressEntry(/*is_out=*/false, t, hub_aid, cand.mr);
         dead_in.insert({cand.mr, t});
       }
     }
@@ -705,8 +687,8 @@ void DynamicRlcIndex::IncrementalDelete(VertexId u, Label l, VertexId v) {
           closure_of(/*backward=*/false, cand.kernel, s);
       for_each_common(reach, cand.down, [&](VertexId t) {
         ++stats_.pairs_examined;
-        if (current_->QueryInterned(s, t, cand.mr)) return;
-        AddCoverEntry(s, t, cand.mr, cand.kernel);
+        if (index_.QueryInterned(s, t, cand.mr)) return;
+        AddCoverEntry(s, t, cand.mr);
         ++stats_.pairs_recovered;
       });
     }
@@ -716,8 +698,8 @@ void DynamicRlcIndex::IncrementalDelete(VertexId u, Label l, VertexId v) {
           closure_of(/*backward=*/true, cand.kernel, t);
       for_each_common(reach, cand.up, [&](VertexId s) {
         ++stats_.pairs_examined;
-        if (current_->QueryInterned(s, t, cand.mr)) return;
-        AddCoverEntry(s, t, cand.mr, cand.kernel);
+        if (index_.QueryInterned(s, t, cand.mr)) return;
+        AddCoverEntry(s, t, cand.mr);
         ++stats_.pairs_recovered;
       });
     }
@@ -739,109 +721,38 @@ std::vector<Edge> DynamicRlcIndex::MaterializedEdges() const {
 }
 
 void DynamicRlcIndex::MaybeReseal() {
-  if (reseal_thread_.joinable()) {
-    TryCompleteReseal(/*wait=*/false);
-    return;
-  }
-  if (current_->delta_entries() + current_->tombstone_entries() <
+  if (index_.delta_entries() + index_.tombstone_entries() <
       policy_.min_delta_entries) {
     return;
   }
-  if (current_->DeltaRatio() <= policy_.max_delta_ratio) return;
-  StartReseal();
+  if (index_.DeltaRatio() <= policy_.max_delta_ratio) return;
+  Reseal();
 }
 
-void DynamicRlcIndex::ResealInline() {
+void DynamicRlcIndex::Reseal() {
+  ++stats_.reseals;
+  DynMetrics::Get().reseals.Inc();
   Timer timer;
   {
     obs::ScopedSpan span(DynMetrics::Get().reseal_merge_ns,
                          "dyn.reseal.merge");
-    auto fresh = std::make_shared<RlcIndex>(*current_);
-    fresh->MergeDeltas();
-    current_ = std::move(fresh);
+    // Merging a copy leaves the index untouched if the merge throws.
+    RlcIndex fresh(index_);
+    fresh.MergeDeltas();
+    index_ = std::move(fresh);
   }
   stats_.reseal_seconds += timer.ElapsedSeconds();
 }
 
-void DynamicRlcIndex::StartReseal() {
-  ++stats_.reseals;
-  DynMetrics::Get().reseals.Inc();
-  if (!policy_.background) {
-    ResealInline();
-    return;
-  }
-  // Snapshot on the owner thread: the worker owns the copy outright, so the
-  // owner may keep appending deltas (and serving queries) while it merges.
-  reseal_snapshot_ = std::make_unique<RlcIndex>(*current_);
-  reseal_ready_.store(false, std::memory_order_relaxed);
-  reseal_thread_ = std::thread([this] {
-    Timer timer;
-    {
-      obs::ScopedSpan span(DynMetrics::Get().reseal_merge_ns,
-                           "dyn.reseal.merge");
-      reseal_snapshot_->MergeDeltas();
-    }
-    reseal_merge_seconds_ = timer.ElapsedSeconds();
-    reseal_ready_.store(true, std::memory_order_release);
-  });
-}
-
-void DynamicRlcIndex::TryCompleteReseal(bool wait) {
-  if (!reseal_thread_.joinable()) return;
-  if (!wait && !reseal_ready_.load(std::memory_order_acquire)) return;
-  // The swap latency is what a caller blocked on the reseal actually pays:
-  // join + suffix replay + pointer swap (the merge itself ran off-thread).
-  obs::ScopedSpan swap_span(DynMetrics::Get().reseal_swap_ns,
-                            "dyn.reseal.swap");
-  reseal_thread_.join();
-  stats_.reseal_seconds += reseal_merge_seconds_;
-  auto fresh = std::shared_ptr<RlcIndex>(std::move(reseal_snapshot_));
-  // Replay the overlay mutations recorded since the trigger: the merged CSR
-  // holds everything before it, so the replayed log restores the exact
-  // visible entry set — answers are unchanged across the swap.
-  // Post-trigger MRs re-intern in log order, which reproduces the live
-  // table's ids (interning is append-only and deterministic). A replayed
-  // suppression finds its entry wherever the merge left it: folded into
-  // the fresh CSR (tombstoned there) or re-appended by an earlier replayed
-  // record (erased from the delta list, matching the live index).
-  for (const DeltaRecord& r : delta_log_) {
-    if (r.kind == DeltaRecord::Kind::kAppend) {
-      const MrId mr = fresh->mr_table().Intern(r.seq);
-      if (r.is_out) {
-        fresh->AddDeltaOut(r.v, r.hub_aid, mr);
-      } else {
-        fresh->AddDeltaIn(r.v, r.hub_aid, mr);
-      }
-    } else {
-      const MrId mr = fresh->mr_table().Find(r.seq);
-      RLC_CHECK_MSG(mr != kInvalidMrId,
-                    "reseal replay: suppressed entry's MR is unknown");
-      if (r.is_out) {
-        fresh->SuppressOut(r.v, r.hub_aid, mr);
-      } else {
-        fresh->SuppressIn(r.v, r.hub_aid, mr);
-      }
-    }
-    ++stats_.deltas_replayed;
-  }
-  DynMetrics::Get().deltas_replayed.Add(delta_log_.size());
-  delta_log_ = {};  // nothing reads the log until the next reseal starts
-  current_ = std::move(fresh);
-}
-
-void DynamicRlcIndex::FinishReseal() { TryCompleteReseal(/*wait=*/true); }
-
 void DynamicRlcIndex::ForceReseal() {
-  TryCompleteReseal(/*wait=*/true);
-  if (current_->delta_entries() == 0 && current_->tombstone_entries() == 0) {
+  if (index_.delta_entries() == 0 && index_.tombstone_entries() == 0) {
     return;
   }
-  ++stats_.reseals;
-  ResealInline();
+  Reseal();
 }
 
 uint64_t DynamicRlcIndex::MemoryBytes() const {
-  uint64_t bytes = current_->MemoryBytes();
+  uint64_t bytes = index_.MemoryBytes();
   for (const auto& list : extra_out_) bytes += list.capacity() * sizeof(LabeledNeighbor);
   for (const auto& list : extra_in_) bytes += list.capacity() * sizeof(LabeledNeighbor);
   for (const auto& list : removed_out_) bytes += list.capacity() * sizeof(LabeledNeighbor);
@@ -850,7 +761,6 @@ uint64_t DynamicRlcIndex::MemoryBytes() const {
             removed_out_.capacity() + removed_in_.capacity()) *
            sizeof(std::vector<LabeledNeighbor>);
   bytes += (inserted_.capacity() + removed_.capacity()) * sizeof(EdgeUpdate);
-  bytes += delta_log_.capacity() * sizeof(DeltaRecord);
   bytes += visit_stamp_.capacity() * sizeof(uint64_t);
   return bytes;
 }

@@ -52,28 +52,24 @@
 //  * When the pending-mutation fraction (deltas + tombstones) crosses
 //    ResealPolicy::max_delta_ratio, a *reseal* folds the deltas in, drops
 //    the tombstoned entries out of the CSR arrays and recomputes the
-//    exact signatures. With policy.background the merge runs on a detached
-//    thread over a private snapshot (copied on the owner thread at trigger
-//    time); the owner swaps the result in with an epoch-style shared_ptr
-//    flip at its next touch point and replays the deltas appended since the
-//    trigger, so the visible entry set — and therefore every answer — is
-//    unchanged across the swap. Readers holding a Snapshot() (in-flight
-//    batched queries) never block and keep a consistent index.
+//    exact signatures. It runs inline, on the owner thread, at the
+//    mutation that crossed the threshold: a copy of the index merges and
+//    is move-assigned into place. The visible entry set — and therefore
+//    every answer — is unchanged by a reseal, and the index is the same
+//    object before and after it, so a `const RlcIndex&` from index() stays
+//    valid. Equal inputs give equal bytes: two instances fed one mutation
+//    stream reseal at the same points and hold identical indexes.
 //
 // Thread contract: like ShardedRlcService, a DynamicRlcIndex has a single
-// owner thread for mutations and query submission. Batched executors may
-// fan a Snapshot() out across worker pools (the RlcIndex query path is
-// const and the overlay is only mutated between batches); the background
-// reseal touches nothing but its private copy.
+// owner thread for mutations, reseals and query submission. Batched
+// executors may fan index() out across worker pools between mutations (the
+// RlcIndex query path is const); nothing runs concurrently with a mutation.
 
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <set>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "rlc/core/rlc_index.h"
@@ -113,9 +109,6 @@ struct ResealPolicy {
   /// Never reseal below this many pending deltas (tiny overlays are cheaper
   /// to merge at query time than to rebuild around).
   uint64_t min_delta_entries = 64;
-  /// Merge on a background thread and epoch-swap the result in (default);
-  /// false reseals inline on the owner thread (deterministic, for tests).
-  bool background = true;
 };
 
 /// Maintenance telemetry.
@@ -133,8 +126,7 @@ struct DynamicIndexStats {
   uint64_t pairs_recovered = 0;     ///< still-reachable pairs re-covered
                                     ///< after losing their last entry
   uint64_t reseals = 0;
-  uint64_t deltas_replayed = 0;     ///< appended mid-reseal, replayed at swap
-  double reseal_seconds = 0.0;      ///< cumulative merge wall time
+  double reseal_seconds = 0.0;      ///< cumulative inline merge wall time
 };
 
 /// A sealed RlcIndex plus the machinery to keep it exact under edge
@@ -143,7 +135,6 @@ struct DynamicIndexStats {
 class DynamicRlcIndex {
  public:
   DynamicRlcIndex(const DiGraph& g, RlcIndex index, ResealPolicy policy = {});
-  ~DynamicRlcIndex();
 
   DynamicRlcIndex(const DynamicRlcIndex&) = delete;
   DynamicRlcIndex& operator=(const DynamicRlcIndex&) = delete;
@@ -183,15 +174,13 @@ class DynamicRlcIndex {
                       std::span<const EdgeUpdate> removed);
 
   /// \name Query surface
-  /// The current epoch's index. `index()` is the owner-thread shortcut;
-  /// Snapshot() pins an epoch for batched readers that outlive the call
-  /// (the pointer stays valid and consistent across a concurrent reseal
-  /// swap). MR ids are stable across reseals.
+  /// The maintained index. The reference stays valid for the instance's
+  /// lifetime (a reseal replaces its contents in place); MR ids are stable
+  /// across reseals.
   ///@{
-  const RlcIndex& index() const { return *current_; }
-  std::shared_ptr<const RlcIndex> Snapshot() const { return current_; }
+  const RlcIndex& index() const { return index_; }
   bool Query(VertexId s, VertexId t, const LabelSeq& constraint) const {
-    return current_->Query(s, t, constraint);
+    return index_.Query(s, t, constraint);
   }
   ///@}
 
@@ -221,15 +210,9 @@ class DynamicRlcIndex {
     return true;
   }
 
-  /// Blocks until an in-flight background reseal (if any) has merged, then
-  /// swaps it in. Also the deterministic sync point for tests and benches.
-  void FinishReseal();
-
-  /// Unconditional synchronous reseal: completes any in-flight merge, then
-  /// folds whatever deltas remain. After this, delta_entries() == 0.
+  /// Unconditional reseal: folds whatever deltas and tombstones remain.
+  /// After this, delta_entries() == 0.
   void ForceReseal();
-
-  bool reseal_in_flight() const { return reseal_thread_.joinable(); }
 
   const DiGraph& base_graph() const { return g_; }
   /// Overlay edges currently present (inserted and not since deleted).
@@ -247,18 +230,6 @@ class DynamicRlcIndex {
   uint64_t MemoryBytes() const;
 
  private:
-  /// One overlay mutation (delta append or entry suppression), logged so a
-  /// background reseal can replay the mutations that raced past its trigger
-  /// point onto the merged index.
-  struct DeltaRecord {
-    enum class Kind : uint8_t { kAppend, kSuppress };
-    Kind kind;
-    bool is_out;
-    VertexId v;
-    uint32_t hub_aid;
-    LabelSeq seq;
-  };
-
   void IncrementalUpdate(VertexId u, Label l, VertexId v);
   void IncrementalDelete(VertexId u, Label l, VertexId v);
 
@@ -296,38 +267,31 @@ class DynamicRlcIndex {
   std::vector<VertexId> AlignedClosure(VertexId start, const LabelSeq& kernel,
                                        bool backward);
 
-  /// Appends one delta entry to the live index (and, while a background
-  /// reseal runs, to its replay log).
-  void AppendDelta(bool is_out, VertexId v, uint32_t hub_aid, MrId mr,
-                   const LabelSeq& seq);
+  /// Appends one delta entry to the index.
+  void AppendDelta(bool is_out, VertexId v, uint32_t hub_aid, MrId mr);
 
-  /// Suppresses one stale entry on the live index (logged for replay while
-  /// a background reseal runs).
-  void SuppressEntry(bool is_out, VertexId v, uint32_t hub_aid, MrId mr,
-                     const LabelSeq& seq);
+  /// Suppresses one stale entry of the index.
+  void SuppressEntry(bool is_out, VertexId v, uint32_t hub_aid, MrId mr);
 
   /// Adds the Case-2 cover entry for the uncovered pair (x, y, mr): the
   /// higher-ranked endpoint becomes the hub.
-  void AddCoverEntry(VertexId x, VertexId y, MrId mr, const LabelSeq& seq);
+  void AddCoverEntry(VertexId x, VertexId y, MrId mr);
 
   /// Hub-compressed cover for one candidate whose edge sits on a copy
   /// boundary: the boundary endpoint (`hub`) lies on every S x T witness at
   /// a copy start, so (hub, L) entries into Lout(s) / Lin(t) cover all
   /// pairs with |S| + |T| entries instead of |S| * |T|.
-  void CoverViaEdgeHub(VertexId hub, MrId mr, const LabelSeq& kernel,
+  void CoverViaEdgeHub(VertexId hub, MrId mr,
                        std::span<const VertexId> upstream,
                        std::span<const VertexId> downstream);
 
+  /// Reseals when the pending overlay crosses the policy threshold.
   void MaybeReseal();
-  void StartReseal();
-  /// Synchronous copy-merge-swap on the owner thread.
-  void ResealInline();
-  /// Completes a finished (or, with `wait`, any in-flight) background
-  /// reseal: joins, replays post-trigger deltas, swaps the epoch pointer.
-  void TryCompleteReseal(bool wait);
+  /// Merges a copy of the index and move-assigns it into place.
+  void Reseal();
 
   uint64_t StateIndex(VertexId v, uint32_t pos) const {
-    return static_cast<uint64_t>(v) * current_->k() + (pos - 1);
+    return static_cast<uint64_t>(v) * index_.k() + (pos - 1);
   }
 
   /// Removes u --l-> v from the mutated graph: an overlay edge is erased,
@@ -349,7 +313,7 @@ class DynamicRlcIndex {
 
   const DiGraph& g_;
   ResealPolicy policy_;
-  std::shared_ptr<RlcIndex> current_;
+  RlcIndex index_;
   // Graph overlay: edges inserted since construction and still present
   // (never folded — reseals fold index entries, the graph delta persists),
   // plus shadow lists for deleted base edges.
@@ -359,16 +323,7 @@ class DynamicRlcIndex {
   std::vector<std::vector<LabeledNeighbor>> removed_in_;
   std::vector<EdgeUpdate> inserted_;
   std::vector<EdgeUpdate> removed_;
-  // Overlay mutations since a background reseal started (replay source for
-  // its swap); empty, with no capacity, while no reseal is in flight.
-  std::vector<DeltaRecord> delta_log_;
-  // Background reseal state (owner thread starts/joins; the worker only
-  // touches reseal_snapshot_ and the release-ordered ready flag).
-  std::thread reseal_thread_;
-  std::unique_ptr<RlcIndex> reseal_snapshot_;
-  std::atomic<bool> reseal_ready_{false};
-  double reseal_merge_seconds_ = 0.0;
-  // Aligned-search scratch (owner thread only).
+  // Aligned-search scratch.
   std::vector<uint64_t> visit_stamp_;
   uint64_t epoch_ = 0;
   DynamicIndexStats stats_;

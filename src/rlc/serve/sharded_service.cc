@@ -467,13 +467,9 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
   // Phase 1: grouped CSR probes on the shard indexes, one job list over
   // the flat groups, fanned out across the execution pool. Each shard the
   // batch touches gets one breaker decision — denied shards get no jobs:
-  // their probes degrade straight to index-free composition — and one
-  // pinned epoch: a background reseal may finish mid-execution, and the
-  // snapshot keeps every job of this batch on one consistent (and alive)
-  // index even across the owner's next swap.
+  // their probes degrade straight to index-free composition.
   const size_t chunk = std::max<size_t>(size_t{1}, options_.exec_probes_per_job);
   std::vector<internal::KernelJob> jobs;
-  std::vector<std::shared_ptr<const RlcIndex>> pinned;
   uint64_t intra_true = 0;
   uint64_t intra_miss = 0;
   for (uint32_t shard = 0; shard < partition_.num_shards(); ++shard) {
@@ -486,7 +482,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
       }
       continue;
     }
-    pinned.push_back(shard_dyn_[shard]->Snapshot());
+    const RlcIndex& shard_index = shard_dyn_[shard]->index();
     for (uint32_t begin = start[shard]; begin < shard_end;) {
       const uint32_t seq_id = probes[order[begin]].seq_id;
       uint32_t end = begin + 1;
@@ -498,7 +494,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
         intra_miss += end - begin;
       } else {
         ++out.num_groups;
-        internal::AppendSpanJobs(*pinned.back(), mr, begin, end, chunk,
+        internal::AppendSpanJobs(shard_index, mr, begin, end, chunk,
                                  deadline.at_ns,
                                  failpoints::kServeShardExecute, jobs);
       }
@@ -954,10 +950,6 @@ void ShardedRlcService::ReviveShard(uint32_t shard) {
   shard_breakers_[shard].breaker.Reset();
   shard_breakers_[shard].state_gauge->Set(0);
   c_.shard_revives.Inc();
-}
-
-void ShardedRlcService::FinishReseals() {
-  for (const auto& dyn : shard_dyn_) dyn->FinishReseal();
 }
 
 uint64_t ShardedRlcService::MemoryBytes() const {

@@ -42,9 +42,11 @@
 // recompute — and the composition engine is told which shards' transition
 // tables went stale (they refresh lazily on the next probe that needs
 // them), so answers stay exact on the mutated graph. Each shard index
-// reseals independently under ServiceOptions::reseal; reseals do not
-// invalidate composition state (the tables are a function of the graph,
-// not the index).
+// reseals independently under ServiceOptions::reseal, inline inside the
+// ApplyUpdates call whose mutation crossed the threshold, so two services
+// fed the same updates hold the same bytes. Reseals do not invalidate
+// composition state (the tables are a function of the graph, not the
+// index).
 //
 // When a shard's breaker is open (or its probe faults), same-shard probes
 // cannot trust the shard index — and no whole-graph index exists to detour
@@ -100,7 +102,8 @@ struct ServiceOptions {
   /// Cross-shard composition tuning (transition-table budget, plan cache).
   ComposeOptions compose;
   /// Reseal policy for the dynamically maintained shard indexes (only
-  /// relevant once ApplyUpdates has been called).
+  /// relevant once ApplyUpdates has been called). A shard that crosses it
+  /// reseals inline, on the thread calling ApplyUpdates.
   ResealPolicy reseal;
   /// Crash-safe durability (durable_index.h). With `durability.dir` set the
   /// service logs every ApplyUpdates batch to a WAL before applying it and
@@ -256,9 +259,9 @@ class ShardedRlcService {
   ///         before anything is applied).
   size_t ApplyUpdates(std::span<const EdgeUpdate> updates);
 
-  /// Waits for (and swaps in) every in-flight background shard reseal —
-  /// the deterministic sync point for tests and benches.
-  void FinishReseals();
+  /// No-op. Shard reseals run inline inside ApplyUpdates, so none is ever
+  /// in flight; kept because perfbench/src/phases.cc calls it.
+  void FinishReseals() {}
 
   /// Re-adopts one shard after its breaker tripped: in durable mode the
   /// shard index reloads from the newest snapshot generation and replays

@@ -199,12 +199,15 @@ const char* KindName(StoreKind kind) {
 
 class AnyStore {
  public:
-  AnyStore(StoreKind kind, const DiGraph& g, const std::string& dir) {
+  AnyStore(StoreKind kind, const DiGraph& g, const std::string& dir,
+           const ResealPolicy& policy = {}) {
     if (kind == StoreKind::kCore) {
       core_ = std::make_unique<DurableDynamicIndex>(
-          g, StoreOptions(dir), [&] { return BuildSealed(g); });
+          g, StoreOptions(dir), [&] { return BuildSealed(g); }, policy);
     } else {
-      service_ = std::make_unique<ShardedRlcService>(g, DurableServiceOptions(dir));
+      ServiceOptions options = DurableServiceOptions(dir);
+      options.reseal = policy;
+      service_ = std::make_unique<ShardedRlcService>(g, options);
     }
   }
 
@@ -220,6 +223,15 @@ class AnyStore {
   }
   const RecoveryInfo& recovery_info() const {
     return core_ ? core_->recovery_info() : service_->recovery_info();
+  }
+  /// Reseals since this instance was opened, over every index it holds.
+  uint64_t reseals() const {
+    if (core_) return core_->dynamic().stats().reseals;
+    uint64_t total = 0;
+    for (uint32_t s = 0; s < service_->partition().num_shards(); ++s) {
+      total += service_->shard_dynamic(s).stats().reseals;
+    }
+    return total;
   }
 
   /// State == base + first `n` updates. The service exposes no edge list,
@@ -809,6 +821,67 @@ TEST(CrashRecoveryTest, ServiceByteFlipStoreFuzz) {
 
 TEST(CrashRecoveryTest, DeepServiceByteFlipStoreFuzz) {
   RunStoreByteFlipFuzz(StoreKind::kService, 100, 0xBEEF, true);
+}
+
+// ---------------------------------------------------------------------------
+// Reproducible bytes: recovery replays the WAL tail through ApplyUpdates,
+// and reseals run inline at fixed points of that stream, so reopening two
+// copies of one store and checkpointing both writes byte-identical
+// generations.
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void ExpectReopenedCopiesWriteSameBytes(StoreKind kind) {
+  SCOPED_TRACE(KindName(kind));
+  const DiGraph g = TestGraph();
+  const auto updates = MakeWorkload(g, 40, 0x5A);
+  const ResealPolicy policy{.max_delta_ratio = 0.02, .min_delta_entries = 4};
+  const std::string golden = TempDir("same_golden");
+  {
+    AnyStore store(kind, g, golden, policy);
+    for (size_t i = 0; i < updates.size(); ++i) {
+      store.ApplyUpdates(std::span(&updates[i], 1));
+      if (i == 9) store.Checkpoint();
+    }
+  }
+  std::vector<std::string> dirs;
+  uint64_t generation = 0;
+  for (int copy = 0; copy < 2; ++copy) {
+    const std::string dir = TempDir("same");
+    fs::remove(dir);
+    fs::copy(golden, dir, fs::copy_options::recursive);
+    AnyStore store(kind, g, dir, policy);
+    EXPECT_EQ(store.recovery_info().replayed_records, updates.size() - 10);
+    EXPECT_GT(store.reseals(), 0u) << "the replayed tail must reseal";
+    store.Checkpoint();
+    generation = store.generation();
+    dirs.push_back(dir);
+  }
+  // The core's snapshot-<G>.snap, or every file of the service's gen-<G>/.
+  std::vector<std::string> names;
+  if (kind == StoreKind::kCore) {
+    names.push_back(fs::path(SnapshotPath(dirs[0], generation)).filename());
+  } else {
+    const std::string gen_dir = "gen-" + std::to_string(generation);
+    for (const auto& entry : fs::directory_iterator(dirs[0] + "/" + gen_dir)) {
+      names.push_back(gen_dir + "/" + entry.path().filename().string());
+    }
+    EXPECT_GT(names.size(), 1u);
+  }
+  for (const std::string& name : names) {
+    EXPECT_EQ(FileBytes(dirs[0] + "/" + name), FileBytes(dirs[1] + "/" + name))
+        << name << " differs between the reopened copies";
+  }
+  for (const std::string& dir : dirs) fs::remove_all(dir);
+  fs::remove_all(golden);
+}
+
+TEST(DurableIndexTest, ReopenedCopiesWriteByteIdenticalSnapshots) {
+  for (const StoreKind kind : kBothStores) ExpectReopenedCopiesWriteSameBytes(kind);
 }
 
 // ---------------------------------------------------------------------------

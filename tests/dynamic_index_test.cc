@@ -3,7 +3,8 @@
 // the mutated graph — the property that silently rots first in an
 // incrementally maintained index), metamorphic update properties
 // (monotonicity, duplicate no-ops, permutation of independent inserts), and
-// the epoch-swap concurrency contract of the background reseal.
+// reseals: answers and index() references survive them, and pooled batched
+// readers see the pending delta and tombstone overlays.
 
 #include "rlc/core/dynamic_index.h"
 
@@ -123,7 +124,6 @@ EdgeUpdate RandomNewEdge(const DynamicRlcIndex& dyn, Rng& rng) {
 TEST(DynamicIndexTest, DifferentialInsertScheduleErWithInlineReseals) {
   const DiGraph g = ErGraph(60, 180, 3, 11);
   ResealPolicy policy;
-  policy.background = false;  // deterministic reseal points
   policy.min_delta_entries = 4;
   policy.max_delta_ratio = 0.02;  // reseal often: schedule crosses boundaries
   DynamicRlcIndex dyn(g, BuildSealed(g, 2), policy);
@@ -157,7 +157,6 @@ TEST(DynamicIndexTest, DifferentialK3) {
 TEST(DynamicIndexTest, DifferentialBarabasiAlbert) {
   const DiGraph g = BaGraph(50, 3, 4, 31);
   ResealPolicy policy;
-  policy.background = false;
   policy.min_delta_entries = 8;
   policy.max_delta_ratio = 0.05;
   DynamicRlcIndex dyn(g, BuildSealed(g, 2), policy);
@@ -171,10 +170,9 @@ TEST(DynamicIndexTest, DifferentialBarabasiAlbert) {
   ExpectMatchesRebuild(dyn, 2);
 }
 
-TEST(DynamicIndexTest, DifferentialAcrossBackgroundReseal) {
+TEST(DynamicIndexTest, DifferentialAcrossReseal) {
   const DiGraph g = ErGraph(80, 280, 3, 41);
   ResealPolicy policy;
-  policy.background = true;
   policy.min_delta_entries = 1;
   policy.max_delta_ratio = 1e-6;  // trigger on (nearly) every insert
   DynamicRlcIndex dyn(g, BuildSealed(g, 2), policy);
@@ -183,7 +181,6 @@ TEST(DynamicIndexTest, DifferentialAcrossBackgroundReseal) {
     const EdgeUpdate e = RandomNewEdge(dyn, rng);
     ASSERT_TRUE(dyn.InsertEdge(e.src, e.label, e.dst));
   }
-  dyn.FinishReseal();
   ExpectMatchesRebuild(dyn, 2);
   EXPECT_GT(dyn.stats().reseals, 0u);
 
@@ -328,16 +325,21 @@ TEST(DynamicIndexTest, PermutingIndependentInsertsYieldsSameSealedIndex) {
   }
 }
 
-TEST(DynamicIndexTest, ExecuteBatchHammerAcrossEpochSwap) {
-  // Batched queries fan out across a worker pool while a background reseal
-  // merges and the owner swaps epochs between batches; every answer must
-  // match a from-scratch build on the graph state of its round.
+/// One random currently-present edge (base minus removals plus overlay).
+EdgeUpdate RandomPresentEdge(const DynamicRlcIndex& dyn, Rng& rng) {
+  const std::vector<Edge> edges = dyn.MaterializedEdges();
+  const Edge& e = edges[rng.Below(edges.size())];
+  return {e.src, e.label, e.dst, EdgeOp::kDelete};
+}
+
+TEST(DynamicIndexTest, ExecuteBatchHammerOverPendingOverlay) {
+  // Batched queries fan out across a worker pool over an index with
+  // pending delta entries and tombstones, and a reseal folds them between
+  // rounds; every answer must match a from-scratch build on the graph
+  // state of its round.
   const DiGraph g = ErGraph(400, 1600, 3, 83);
-  ResealPolicy policy;
-  policy.background = true;
-  policy.min_delta_entries = 1;
-  policy.max_delta_ratio = 1e-6;
-  DynamicRlcIndex dyn(g, BuildSealed(g, 2), policy);
+  DynamicRlcIndex dyn(g, BuildSealed(g, 2),
+                      ResealPolicy{.max_delta_ratio = 1e9});
 
   ThreadPool pool(4);
   ExecuteOptions exec;
@@ -349,11 +351,13 @@ TEST(DynamicIndexTest, ExecuteBatchHammerAcrossEpochSwap) {
     for (int i = 0; i < 5; ++i) {
       const EdgeUpdate e = RandomNewEdge(dyn, rng);
       ASSERT_TRUE(dyn.InsertEdge(e.src, e.label, e.dst));
+      const EdgeUpdate d = RandomPresentEdge(dyn, rng);
+      ASSERT_TRUE(dyn.DeleteEdge(d.src, d.label, d.dst));
     }
-    // Pin this round's epoch; the background merge may finish (and later
-    // rounds may swap) while these batches execute.
-    const std::shared_ptr<const RlcIndex> snap = dyn.Snapshot();
-    const auto seqs = ProbeSeqs(*snap, g.num_labels(), 2, 91 + round);
+    const RlcIndex& index = dyn.index();
+    ASSERT_GT(index.delta_entries(), 0u) << "round " << round;
+    ASSERT_GT(index.tombstone_entries(), 0u) << "round " << round;
+    const auto seqs = ProbeSeqs(index, g.num_labels(), 2, 91 + round);
 
     const DiGraph mutated(g.num_vertices(), dyn.MaterializedEdges(),
                           g.num_labels(), /*dedup_parallel=*/false);
@@ -369,30 +373,55 @@ TEST(DynamicIndexTest, ExecuteBatchHammerAcrossEpochSwap) {
       expected.push_back(oracle.QueryInterned(s, t, oracle.FindMr(seq)) ? 1 : 0);
     }
     for (int rep = 0; rep < 3; ++rep) {
-      const AnswerBatch answers = ExecuteBatch(*snap, batch, exec);
+      const AnswerBatch answers = ExecuteBatch(index, batch, exec);
       ASSERT_EQ(answers.answers.size(), expected.size());
       for (size_t i = 0; i < expected.size(); ++i) {
         ASSERT_EQ(expected[i], answers.answers[i])
             << "round " << round << " rep " << rep << " probe " << i;
       }
     }
+    dyn.ForceReseal();
   }
-  dyn.FinishReseal();
-  EXPECT_GT(dyn.stats().reseals, 0u);
+  EXPECT_EQ(dyn.stats().reseals, 4u);
   ExpectMatchesRebuild(dyn, 2);
 }
 
-/// One random currently-present edge (base minus removals plus overlay).
-EdgeUpdate RandomPresentEdge(const DynamicRlcIndex& dyn, Rng& rng) {
-  const std::vector<Edge> edges = dyn.MaterializedEdges();
-  const Edge& e = edges[rng.Below(edges.size())];
-  return {e.src, e.label, e.dst, EdgeOp::kDelete};
+TEST(DynamicIndexTest, IndexReferenceAnswersAcrossReseal) {
+  // A reseal replaces the index's contents in place: a reference taken
+  // from index() before it is the resealed index afterwards.
+  const DiGraph g = ErGraph(60, 200, 3, 181);
+  ResealPolicy policy;
+  policy.min_delta_entries = 1;
+  policy.max_delta_ratio = 1e-6;  // the first mutation adding an entry
+  DynamicRlcIndex dyn(g, BuildSealed(g, 2), policy);
+  const RlcIndex& held = dyn.index();
+  Rng rng(191);
+  while (dyn.stats().reseals == 0) {
+    const EdgeUpdate e = RandomNewEdge(dyn, rng);
+    ASSERT_TRUE(dyn.InsertEdge(e.src, e.label, e.dst));
+  }
+  EXPECT_EQ(&held, &dyn.index());
+  EXPECT_EQ(held.delta_entries(), 0u);
+
+  const DiGraph mutated(g.num_vertices(), dyn.MaterializedEdges(),
+                        g.num_labels(), /*dedup_parallel=*/false);
+  const RlcIndex oracle = BuildSealed(mutated, 2);
+  for (const LabelSeq& seq : ProbeSeqs(held, g.num_labels(), 2, 193)) {
+    const MrId mr = held.FindMr(seq);
+    const MrId oracle_mr = oracle.FindMr(seq);
+    for (VertexId s = 0; s < g.num_vertices(); ++s) {
+      for (VertexId t = 0; t < g.num_vertices(); ++t) {
+        ASSERT_EQ(oracle.QueryInterned(s, t, oracle_mr),
+                  held.QueryInterned(s, t, mr))
+            << "s=" << s << " t=" << t << " L=" << seq.ToString();
+      }
+    }
+  }
 }
 
 TEST(DynamicIndexTest, DifferentialDeleteScheduleEr) {
   const DiGraph g = ErGraph(60, 200, 3, 103);
   ResealPolicy policy;
-  policy.background = false;
   policy.min_delta_entries = 4;
   policy.max_delta_ratio = 0.02;  // reseal often: schedule crosses boundaries
   DynamicRlcIndex dyn(g, BuildSealed(g, 2), policy);
@@ -458,10 +487,9 @@ TEST(DynamicIndexTest, DeleteNeverFlipsUnreachableToReachable) {
   }
 }
 
-TEST(DynamicIndexTest, MixedMutationsAcrossBackgroundReseal) {
+TEST(DynamicIndexTest, MixedMutationsAcrossReseal) {
   const DiGraph g = ErGraph(70, 240, 3, 139);
   ResealPolicy policy;
-  policy.background = true;
   policy.min_delta_entries = 1;
   policy.max_delta_ratio = 1e-6;  // trigger on (nearly) every mutation
   DynamicRlcIndex dyn(g, BuildSealed(g, 2), policy);
@@ -475,47 +503,12 @@ TEST(DynamicIndexTest, MixedMutationsAcrossBackgroundReseal) {
       ASSERT_TRUE(dyn.DeleteEdge(e.src, e.label, e.dst));
     }
   }
-  dyn.FinishReseal();
+  EXPECT_GT(dyn.stats().reseals, 0u);
   ExpectMatchesRebuild(dyn, 2);
 
   dyn.ForceReseal();
   EXPECT_EQ(dyn.index().delta_entries(), 0u);
   EXPECT_EQ(dyn.index().tombstone_entries(), 0u);
-  ExpectMatchesRebuild(dyn, 2);
-}
-
-TEST(DynamicIndexTest, NoReplayLogWithoutReseal) {
-  // Overlay mutations are logged only as a background reseal's replay
-  // source. With no reseal in flight, repeating one insert/delete cycle
-  // leaves every overlay buffer at the size the first cycle grew it to, so
-  // the bytes outside the index stay flat however many mutations ran.
-  const DiGraph g = ErGraph(60, 200, 3, 167);
-  DynamicRlcIndex dyn(g, BuildSealed(g, 2),
-                      ResealPolicy{.max_delta_ratio = 1e9});
-  Rng rng(173);
-  EdgeUpdate e{};
-  for (;;) {  // an edge whose insert adds delta entries
-    e = RandomNewEdge(dyn, rng);
-    const uint64_t before = dyn.stats().delta_entries_added;
-    ASSERT_TRUE(dyn.InsertEdge(e.src, e.label, e.dst));
-    ASSERT_TRUE(dyn.DeleteEdge(e.src, e.label, e.dst));
-    if (dyn.stats().delta_entries_added > before) break;
-  }
-  const auto overlay_bytes = [&] {
-    return dyn.MemoryBytes() - dyn.index().MemoryBytes();
-  };
-  const auto logged = [&] {
-    return dyn.stats().delta_entries_added + dyn.stats().entries_suppressed;
-  };
-  const uint64_t bytes = overlay_bytes();
-  const uint64_t records = logged();
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(dyn.InsertEdge(e.src, e.label, e.dst));
-    ASSERT_TRUE(dyn.DeleteEdge(e.src, e.label, e.dst));
-  }
-  EXPECT_FALSE(dyn.reseal_in_flight());
-  EXPECT_GE(logged(), records + 50);
-  EXPECT_EQ(overlay_bytes(), bytes);
   ExpectMatchesRebuild(dyn, 2);
 }
 

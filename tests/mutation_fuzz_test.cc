@@ -70,7 +70,6 @@ struct FuzzConfig {
   uint64_t m = 200;  ///< edges (ER) / edges-per-vertex m0 (BA)
   Label labels = 3;
   uint32_t k = 2;
-  bool background = false;  ///< background reseals (epoch swaps) vs inline
   double reseal_ratio = 0.05;
   int rounds = 4;
   int batch_size = 8;
@@ -189,7 +188,6 @@ void RunCoreFuzz(FuzzConfig config) {
   Rng rng(config.seed);
   const DiGraph g = MakeGraph(config, rng);
   ResealPolicy policy;
-  policy.background = config.background;
   policy.min_delta_entries = 4;
   policy.max_delta_ratio = config.reseal_ratio;
   DynamicRlcIndex dyn(g, BuildSealed(g, config.k), policy);
@@ -201,7 +199,6 @@ void RunCoreFuzz(FuzzConfig config) {
       const EdgeUpdate update = RandomMutation(dyn, config, rng);
       ASSERT_EQ(dyn.ApplyUpdates(std::span(&update, 1)), 1u) << Replay(config);
     }
-    if (config.background) dyn.FinishReseal();
     ExpectMatchesRebuild(dyn, config, rng);
     if (config.io_round_trip) ExpectIoRoundTrip(dyn, config, rng);
   }
@@ -226,14 +223,13 @@ TEST(MutationFuzzTest, ErK3) {
                .batch_size = 6});
 }
 
-TEST(MutationFuzzTest, BarabasiAlbertBackgroundReseals) {
-  RunCoreFuzz({.name = "ba_k2_background",
+TEST(MutationFuzzTest, BarabasiAlbertReseals) {
+  RunCoreFuzz({.name = "ba_k2_reseals",
                .seed = 0xC3,
                .barabasi = true,
                .n = 50,
                .m = 3,
                .labels = 4,
-               .background = true,
                .reseal_ratio = 1e-6});
 }
 
@@ -255,12 +251,11 @@ TEST(MutationFuzzTest, DeepFuzzCoreManyRounds) {
                  .rounds = 8,
                  .batch_size = 10,
                  .io_round_trip = true});
-    RunCoreFuzz({.name = "deep_er_k3_bg",
+    RunCoreFuzz({.name = "deep_er_k3",
                  .seed = seed ^ 0xFF,
                  .n = 45,
                  .m = 140,
                  .k = 3,
-                 .background = true,
                  .reseal_ratio = 0.01,
                  .rounds = 5,
                  .batch_size = 8});
@@ -359,7 +354,7 @@ struct ShardedFuzzConfig {
   uint32_t shards = 4;
   PartitionPolicy policy = PartitionPolicy::kHash;
   bool cross_bias = false;  ///< steer mutations toward cross-shard edges
-  bool background_reseals = false;
+  bool frequent_reseals = false;  ///< reseal on (nearly) every mutation
   uint32_t exec_threads = 1;
   int rounds = 3;
   int batch_size = 10;
@@ -387,8 +382,7 @@ void RunShardedFuzz(ShardedFuzzConfig config) {
   options.build_threads = 2;
   options.exec_threads = config.exec_threads;
   options.exec_probes_per_job = 64;
-  if (config.background_reseals) {
-    options.reseal.background = true;
+  if (config.frequent_reseals) {
     options.reseal.min_delta_entries = 1;
     options.reseal.max_delta_ratio = 1e-6;
   }
@@ -459,7 +453,6 @@ void RunShardedFuzz(ShardedFuzzConfig config) {
     const AnswerBatch answers = service.Execute(qbatch);
     ASSERT_EQ(answers.answers, expected) << "round " << round << replay;
   }
-  service.FinishReseals();
   const DiGraph mutated(n, current, labels);
   const RlcIndex oracle = BuildSealed(mutated, 2);
   for (int probe = 0; probe < 400; ++probe) {
@@ -475,12 +468,12 @@ TEST(MutationFuzzTest, ShardedComposeHash) {
   RunShardedFuzz({.name = "sharded_compose_hash", .seed = 0x51});
 }
 
-TEST(MutationFuzzTest, ShardedComposeRangeBackgroundReseals) {
-  RunShardedFuzz({.name = "sharded_compose_range_bg",
+TEST(MutationFuzzTest, ShardedComposeRangeReseals) {
+  RunShardedFuzz({.name = "sharded_compose_range_reseals",
                   .seed = 0x52,
                   .shards = 3,
                   .policy = PartitionPolicy::kRange,
-                  .background_reseals = true,
+                  .frequent_reseals = true,
                   .exec_threads = 4});
 }
 

@@ -523,13 +523,6 @@ void RunUpdateDifferential(ServiceOptions options, uint64_t seed) {
     ExpectServiceMatchesIndex(mutated, fresh, service, 400, seed + batch);
   }
   EXPECT_GT(service.stats().updates_cross, 0u);
-
-  // Drain any background reseals and re-check: the swap must not change a
-  // single answer.
-  service.FinishReseals();
-  const DiGraph mutated(n, mutated_edges, labels);
-  const RlcIndex fresh = BuildRlcIndex(mutated, options.indexer.k);
-  ExpectServiceMatchesIndex(mutated, fresh, service, 400, seed + 99);
 }
 
 TEST(ServingTest, ApplyUpdatesMatchesRebuiltIndexHybrid) {
@@ -544,14 +537,61 @@ TEST(ServingTest, ApplyUpdatesMatchesRebuiltIndexRangeOrdered) {
   RunUpdateDifferential(Opts(4, PartitionPolicy::kRangeOrdered), 333);
 }
 
-TEST(ServingTest, ApplyUpdatesWithBackgroundResealsAndExecThreads) {
+TEST(ServingTest, ApplyUpdatesWithResealsAndExecThreads) {
   ServiceOptions options = Opts(4, PartitionPolicy::kHash);
   options.exec_threads = 4;
   options.exec_probes_per_job = 32;
-  options.reseal.background = true;
   options.reseal.min_delta_entries = 1;
   options.reseal.max_delta_ratio = 1e-6;  // reseal on (nearly) every insert
   RunUpdateDifferential(options, 444);
+}
+
+TEST(ServingTest, SameUpdateStreamGivesSameShardState) {
+  // Shard reseals run inline at the mutation that crosses the policy, so
+  // two services fed one insert/delete stream reseal at the same points
+  // and report the same bytes and entry counts after every batch.
+  const VertexId n = 1500;
+  const Label labels = 3;
+  const DiGraph g = RandomGraph(n, 6000, labels, 777);
+  ServiceOptions options = Opts(4, PartitionPolicy::kHash);
+  options.reseal.min_delta_entries = 4;
+  options.reseal.max_delta_ratio = 0.02;
+  ShardedRlcService a(g, options);
+  ShardedRlcService b(g, options);
+
+  std::vector<Edge> current = g.ToEdgeList();
+  Rng rng(779);
+  for (int batch = 0; batch < 6; ++batch) {
+    std::vector<EdgeUpdate> updates;
+    for (int i = 0; i < 32; ++i) {
+      if (rng.Below(2) == 0) {
+        const size_t pick = rng.Below(current.size());
+        const Edge e = current[pick];
+        current.erase(current.begin() + static_cast<ptrdiff_t>(pick));
+        updates.push_back({e.src, e.label, e.dst, EdgeOp::kDelete});
+      } else {
+        const Edge e{static_cast<VertexId>(rng.Below(n)),
+                     static_cast<VertexId>(rng.Below(n)),
+                     static_cast<Label>(rng.Below(labels))};
+        current.push_back(e);
+        updates.push_back({e.src, e.label, e.dst});
+      }
+    }
+    ASSERT_EQ(a.ApplyUpdates(updates), b.ApplyUpdates(updates));
+    ASSERT_EQ(a.MemoryBytes(), b.MemoryBytes()) << "batch " << batch;
+    for (uint32_t s = 0; s < a.partition().num_shards(); ++s) {
+      ASSERT_EQ(a.shard_index(s).NumEntries(), b.shard_index(s).NumEntries())
+          << "batch " << batch << " shard " << s;
+      ASSERT_EQ(a.shard_index(s).delta_entries(),
+                b.shard_index(s).delta_entries())
+          << "batch " << batch << " shard " << s;
+    }
+  }
+  uint64_t reseals = 0;
+  for (uint32_t s = 0; s < a.partition().num_shards(); ++s) {
+    reseals += a.shard_dynamic(s).stats().reseals;
+  }
+  EXPECT_GT(reseals, 0u);
 }
 
 // Composition reads a shard's base edges through
