@@ -1,4 +1,5 @@
-// Ablation — the design choices DESIGN.md calls out:
+// Ablation — the two index design choices the paper credits for its build
+// time and index size:
 //  (1) pruning rules PR1/PR2/PR3 on/off: build time, entries, index size
 //      (paper Appendix D reports the no-PR3 design is 32x slower to build
 //      on AD; §VI credits the rules for both IT and IS gains);

@@ -85,7 +85,8 @@ inline double EffectiveScale(const DatasetSpec& spec, double default_scale) {
 }
 
 /// Real dataset file if RLC_DATA_DIR is set and the file exists, otherwise
-/// a scaled surrogate (see DESIGN.md §2, substitution 1).
+/// a scaled surrogate matching the published |V|, |E|, |L| and loop count
+/// (rlc/graph/datasets.h: the paper's SNAP/KONECT files are not shipped).
 inline DiGraph GetDataset(const DatasetSpec& spec, double scale, uint64_t seed) {
   if (const char* dir = std::getenv("RLC_DATA_DIR")) {
     const std::string path = std::string(dir) + "/" + spec.name + ".txt";

@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
       rec.Set("queries", stats->queries)
           .Set("intra_true", stats->intra_true)
           .Set("intra_miss", stats->intra_miss)
-          .Set("cross_refuted", stats->cross_refuted)
           .Set("compose_probes", stats->compose_probes)
           .Set("compose_skeleton_hops", stats->compose_skeleton_hops)
           .Set("intra_shard_share", intra_share);
@@ -171,7 +170,6 @@ int main(int argc, char** argv) {
     d.queries = (after.queries - before.queries) / runs;
     d.intra_true = (after.intra_true - before.intra_true) / runs;
     d.intra_miss = (after.intra_miss - before.intra_miss) / runs;
-    d.cross_refuted = (after.cross_refuted - before.cross_refuted) / runs;
     d.compose_probes = (after.compose_probes - before.compose_probes) / runs;
     d.compose_skeleton_hops =
         (after.compose_skeleton_hops - before.compose_skeleton_hops) / runs;
@@ -311,9 +309,8 @@ int main(int argc, char** argv) {
   }
 
   // --- per-shard composition attribution + per-stage latency percentiles ---
-  // The routing pathology this harness watches for is "one shard's boundary
-  // refutation stopped working": total compose_probes stays flat while one
-  // shard's share spikes. Per-stage serve.stage.* histograms land in the
+  // The routing pathology this harness watches for is one shard sourcing
+  // a spiking share of the composed probes while the total stays flat. Per-stage serve.stage.* histograms land in the
   // JSON via AppendMetrics (p50/p95/p99 per record).
   {
     const std::vector<uint64_t> per_shard = service.ShardComposeCounts();

@@ -11,8 +11,8 @@
 // on every query shape, with finite break-even points. The paper's *extra*
 // effect — SU growing monotonically with concatenation length, up to
 // 3.8*10^7x — is driven by the original engines' interpretive and
-// materialization overheads and is documented as not reproduced by these
-// native archetypes (see EXPERIMENTS.md).
+// materialization overheads and is not reproduced by these native
+// archetypes (the run's closing note says so).
 
 #include <algorithm>
 
@@ -159,9 +159,9 @@ int main() {
   table.Print();
   std::printf(
       "\nNote: Sys1/Sys2/Virtuoso are archetype reimplementations of the\n"
-      "anonymized engines (see DESIGN.md §2). Reproduced: SU >> 1 for every\n"
-      "engine and query shape, finite BEPs, and the fixpoint engine paying\n"
-      "the most for recursion. Not reproduced (documented in EXPERIMENTS.md):\n"
+      "anonymized engines (rlc/engines/engine.h). Reproduced: SU >> 1 for\n"
+      "every engine and query shape, finite BEPs, and the fixpoint engine\n"
+      "paying the most for recursion. Not reproduced:\n"
       "the paper's monotone SU growth with concatenation length, which stems\n"
       "from the original engines' interpretive/materialization overheads\n"
       "rather than from the constrained search space itself.\n");

@@ -3,8 +3,8 @@
 // Builds a ShardedRlcService over a graph (a real edge-list file or a
 // synthetic ER surrogate), replays a query log through the batched API in
 // fixed-size chunks, and prints the routing telemetry: how many probes the
-// shard indexes answered alone, how many the boundary summary refuted, and
-// how many were composed across shards over the boundary skeleton.
+// shard indexes answered alone, and how many were composed across shards
+// over the boundary skeleton.
 //
 //   $ ./examples/rlc_server [options]
 //     --graph FILE        edge-list text file (default: synthetic ER)
@@ -272,10 +272,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(served), seconds * 1e3,
               static_cast<double>(served) / seconds,
               seconds * 1e6 / static_cast<double>(served));
-  std::printf("routing: intra-shard true %llu, boundary-refuted %llu, "
-              "composed %llu / hops %llu (batches %llu, groups %llu)\n",
+  std::printf("routing: intra-shard true %llu, composed %llu / hops %llu "
+              "(batches %llu, groups %llu)\n",
               static_cast<unsigned long long>(stats.intra_true),
-              static_cast<unsigned long long>(stats.cross_refuted),
               static_cast<unsigned long long>(stats.compose_probes),
               static_cast<unsigned long long>(stats.compose_skeleton_hops),
               static_cast<unsigned long long>(stats.batches),

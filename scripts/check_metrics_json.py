@@ -37,13 +37,14 @@ With --serving (for BENCH_serving.json), additionally:
      more pops than hops means a hop went uncounted or the counter stopped
      being exported,
  12. tier conservation: every mode record carrying routing telemetry
-     (intra_true) has intra_true + cross_refuted + compose_probes == probes
-     (and queries == probes when it reports queries) — on the fault-free
-     throughput phases every probe ends in exactly one tier,
+     (intra_true) has intra_true + compose_probes == probes (and queries
+     == probes when it reports queries) — on the fault-free throughput
+     phases every probe ends in exactly one of the two tiers: a shard-index
+     hit or composition,
  13. one router: the scalar_service and batched_service mode records exist
      and carry identical tier counts (queries, intra_true, intra_miss,
-     cross_refuted, compose_probes) — ShardedRlcService::Query is a
-     one-probe Execute, so the two modes cannot route a probe differently.
+     compose_probes) — ShardedRlcService::Query is a one-probe Execute, so
+     the two modes cannot route a probe differently.
 
 With --compose-p95 RATIO (nightly, for BENCH_serving.json), additionally:
  14. both {"record": "compose_p95"} policies (hash, range_ordered) exist
@@ -141,8 +142,7 @@ def check_serving(path: str, records: list) -> None:
 
     # Tier conservation per mode record, and one router for both service
     # modes.
-    tiers = ("queries", "intra_true", "intra_miss", "cross_refuted",
-             "compose_probes")
+    tiers = ("queries", "intra_true", "intra_miss", "compose_probes")
     modes = {}
     for rec in records:
         if "mode" not in rec or "intra_true" not in rec:
@@ -150,11 +150,10 @@ def check_serving(path: str, records: list) -> None:
         mode = rec["mode"]
         modes[mode] = rec
         probes = rec.get("probes")
-        ended = (rec["intra_true"] + rec.get("cross_refuted", 0)
-                 + rec.get("compose_probes", 0))
+        ended = rec["intra_true"] + rec.get("compose_probes", 0)
         if ended != probes:
-            fail(f"{path}: mode {mode!r} has intra_true + cross_refuted + "
-                 f"compose_probes = {ended}, but probes = {probes!r}")
+            fail(f"{path}: mode {mode!r} has intra_true + compose_probes = "
+                 f"{ended}, but probes = {probes!r}")
         if "queries" in rec and rec["queries"] != probes:
             fail(f"{path}: mode {mode!r} has queries = {rec['queries']}, "
                  f"but probes = {probes!r}")

@@ -3,8 +3,10 @@
 // The paper compares the RLC index against three graph engines (two
 // anonymized commercial systems and Virtuoso). Those systems are not
 // runnable offline, so this module provides three engine *archetypes* that
-// bracket how real engines evaluate recursive property paths (see DESIGN.md
-// §2 for the substitution rationale):
+// bracket how real engines evaluate recursive property paths — a global
+// fixpoint, tuple-at-a-time and set-at-a-time evaluation. They reproduce
+// the evaluation strategies the paper compares against, not any one
+// system's absolute speed:
 //
 //   RecursiveJoinEngine   relational semi-naive fixpoint (recursive CTE /
 //                         SPARQL transitive-closure style): computes the

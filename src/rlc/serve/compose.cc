@@ -328,15 +328,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
                                                const Deadline& deadline,
                                                bool need_intra) const {
   ComposeResult result;
-  const uint32_t j = plan.j;
-  EnsureScratch(scratch, j);
-  const uint32_t stamp = scratch.stamp;
-  const uint32_t ss = partition_.ShardOf(s);
-  const uint32_t st = partition_.ShardOf(t);
-  const ShardPlan& dst_plan = *plan.shards[st];
-  const auto pid_of = [j](VertexId v, uint32_t p) {
-    return static_cast<uint64_t>(v) * j + p;
-  };
   // A deadline that already expired (e.g. spent upstream in queueing or an
   // injected delay) aborts before any traversal — small probes must not
   // slip through inside the first stride.
@@ -344,6 +335,19 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     result.timed_out = true;
     return result;
   }
+  const uint32_t ss = partition_.ShardOf(s);
+  const uint32_t st = partition_.ShardOf(t);
+  // Phase 1 seeds the skeleton only from cross edges leaving shard(s): a
+  // shard without boundary vertices has none (a one-shard partition), so
+  // only an intra witness can answer.
+  if (!need_intra && partition_.shard(ss).boundary.empty()) return result;
+  const uint32_t j = plan.j;
+  EnsureScratch(scratch, j);
+  const uint32_t stamp = scratch.stamp;
+  const ShardPlan& dst_plan = *plan.shards[st];
+  const auto pid_of = [j](VertexId v, uint32_t p) {
+    return static_cast<uint64_t>(v) * j + p;
+  };
   DeadlineGate gate(deadline);
   // Label-matched cross hop out of (u, q): marks and pushes unseen skeleton
   // entries. Returns true, pushing nothing more, when an entry lands on a
@@ -399,16 +403,23 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     }
     return false;
   };
-  // Emits the cross hops of one queued exit word's boundary states; true
-  // when a hop accepts.
-  const auto emit_exits = [&](const Scratch::ExitWord& exits) {
+  // Runs `fn(u, q)` on the boundary states of one queued exit word until
+  // it returns true; true when it did.
+  const auto any_exit = [&](const Scratch::ExitWord& exits, auto&& fn) {
     const ShardInfo& shard = partition_.shard(exits.shard);
     for (uint64_t bits = exits.bits; bits != 0; bits &= bits - 1) {
       const uint32_t bit = exits.word * 64 + std::countr_zero(bits);
-      if (emit_cross(partition_.GlobalOf(exits.shard, shard.boundary[bit / j]),
-                     bit % j)) {
+      if (fn(partition_.GlobalOf(exits.shard, shard.boundary[bit / j]),
+             bit % j)) {
         return true;
       }
+    }
+    return false;
+  };
+  // True when (u, q) has a label-matched cross edge.
+  const auto has_hop = [&](VertexId u, uint32_t q) {
+    for (const LabeledNeighbor& nb : partition_.CrossOutEdges(u)) {
+      if (nb.label == plan.seq[q]) return true;
     }
     return false;
   };
@@ -456,6 +467,10 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   // is then a purely intra-shard witness, which only a full walk finds.
   // Arrival, never the seed itself, enforces the >= 1-edge requirement, so
   // s == t demands a genuine aligned cycle. Scanned rows queue exit words.
+  // A probe that pushed no entry goes on only if a queued word has a
+  // label-matched cross edge: the words before the first such word push
+  // nothing (phase 1 pushed nothing, so no hop is seen yet), and phase 3
+  // starts at that word. Without one the probe is false before phase 2.
   scratch.skel_queue.clear();
   scratch.exit_queue.clear();
   scratch.fwd_stamp[pid_of(s, 0)] = stamp;
@@ -468,7 +483,14 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     result.timed_out = fwd == WalkEnd::kTimedOut;
     return result;
   }
-  if (scratch.skel_queue.empty() && scratch.exit_queue.empty()) return result;
+  size_t exit_head = 0;
+  if (scratch.skel_queue.empty()) {
+    while (exit_head < scratch.exit_queue.size() &&
+           !any_exit(scratch.exit_queue[exit_head], has_hop)) {
+      ++exit_head;
+    }
+    if (exit_head == scratch.exit_queue.size()) return result;
+  }
 
   // Phase 2 — target-shard prefix: reverse walk from (t, 0) inside
   // shard(t) marks states that intra-reach (t, 0). Over budget it marks
@@ -512,7 +534,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
   // A, and that entry's push or pop already answered true (so exp-stamp
   // dedup of later entries cannot hide an accepting one).
   size_t head = 0;
-  size_t exit_head = 0;
   while (head < scratch.skel_queue.size() ||
          exit_head < scratch.exit_queue.size()) {
     if (gate.Hit()) {
@@ -520,7 +541,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
       return result;
     }
     if (head == scratch.skel_queue.size()) {
-      if (emit_exits(scratch.exit_queue[exit_head++])) {
+      if (any_exit(scratch.exit_queue[exit_head++], emit_cross)) {
         result.reachable = true;
         return result;
       }

@@ -18,8 +18,10 @@
 //      boundary state the state intra-reaches, itself included — and queues
 //      the row's words as exit words, whose cross hops phase 3 emits when
 //      it needs them. Only boundary states carry cross edges, so that finds
-//      the same seeds. Phase 1 never accepts: a probe whose walk neither
-//      pushed an entry nor queued an exit word is false. Phase 1 builds no
+//      the same seeds. Phase 1 never accepts: a probe whose walk pushed no
+//      entry and queued no exit word with a label-matched cross edge is
+//      false before phase 2, and so is a probe from a shard without
+//      boundary vertices (a one-shard partition). Phase 1 builds no
 //      row (a boundary state without one is expanded like an interior
 //      state): a build for every boundary state the walk meets makes rows
 //      for states no skeleton enters, which grew the row cache far more

@@ -63,12 +63,9 @@ GraphPartition GraphPartition::Build(const DiGraph& g,
     global_of[s].push_back(v);
   }
 
-  // Edge split: intra edges feed the shard subgraphs, cross edges feed the
-  // boundary summary.
+  // Edge split: intra edges feed the shard subgraphs, cross edges the
+  // skeleton.
   std::vector<std::vector<Edge>> shard_edges(num_shards);
-  std::vector<LabelMask> out_mask(num_shards);
-  std::vector<LabelMask> in_mask(num_shards);
-  std::vector<uint8_t> quotient_adj(static_cast<size_t>(num_shards) * num_shards, 0);
   p.cross_out_.assign(n, {});
   for (VertexId v = 0; v < n; ++v) {
     const uint32_t sv = p.shard_of_[v];
@@ -81,9 +78,6 @@ GraphPartition GraphPartition::Build(const DiGraph& g,
         p.cross_out_[v].push_back(nb);
         p.is_boundary_[v] = 1;
         p.is_boundary_[nb.v] = 1;
-        out_mask[sv].Add(nb.label);
-        in_mask[sw].Add(nb.label);
-        quotient_adj[static_cast<size_t>(sv) * num_shards + sw] = 1;
       }
     }
   }
@@ -102,50 +96,16 @@ GraphPartition GraphPartition::Build(const DiGraph& g,
     for (VertexId local = 0; local < info.graph.num_vertices(); ++local) {
       if (p.is_boundary_[info.global_of[local]]) info.boundary.push_back(local);
     }
-    info.out_cross_labels = out_mask[s];
-    info.in_cross_labels = in_mask[s];
     p.shards_.push_back(std::move(info));
   }
-
-  CloseQuotient(quotient_adj, num_shards, p.quotient_closure_);
   return p;
-}
-
-void GraphPartition::CloseQuotient(const std::vector<uint8_t>& adj,
-                                   uint32_t ns, std::vector<uint8_t>& closure) {
-  // Quotient closure: BFS from every shard over the cross-arc adjacency.
-  // closure[a][b] records "reachable via >= 1 cross edge", so closure[a][a]
-  // is true only when a genuine quotient cycle exists.
-  closure.assign(static_cast<size_t>(ns) * ns, 0);
-  std::vector<uint32_t> queue;
-  for (uint32_t a = 0; a < ns; ++a) {
-    uint8_t* reach = &closure[static_cast<size_t>(a) * ns];
-    queue.clear();
-    // Seed with a's direct successors; expansion then follows closure rows.
-    for (uint32_t b = 0; b < ns; ++b) {
-      if (adj[static_cast<size_t>(a) * ns + b] && !reach[b]) {
-        reach[b] = 1;
-        queue.push_back(b);
-      }
-    }
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const uint32_t mid = queue[head];
-      for (uint32_t b = 0; b < ns; ++b) {
-        if (adj[static_cast<size_t>(mid) * ns + b] && !reach[b]) {
-          reach[b] = 1;
-          queue.push_back(b);
-        }
-      }
-    }
-  }
 }
 
 void GraphPartition::AddCrossEdge(VertexId global_src, Label label,
                                   VertexId global_dst) {
-  const uint32_t a = shard_of_[global_src];
-  const uint32_t b = shard_of_[global_dst];
-  RLC_REQUIRE(a != b,
-              "GraphPartition::AddCrossEdge: endpoints share shard " << a);
+  RLC_REQUIRE(shard_of_[global_src] != shard_of_[global_dst],
+              "GraphPartition::AddCrossEdge: endpoints share shard "
+                  << shard_of_[global_src]);
   cross_edges_.push_back({global_src, global_dst, label});
   cross_out_[global_src].push_back({global_dst, label});
   const auto flag_boundary = [&](VertexId global) {
@@ -160,25 +120,6 @@ void GraphPartition::AddCrossEdge(VertexId global_src, Label label,
   };
   flag_boundary(global_src);
   flag_boundary(global_dst);
-  shards_[a].out_cross_labels.Add(label);
-  shards_[b].in_cross_labels.Add(label);
-
-  // Closure refresh for the new quotient arc a -> b. One composition pass
-  // is exact: a walk using the arc splits at its first use into an
-  // old-closure prefix x ⇝ a and a suffix from b; any further uses of the
-  // arc in the suffix only revisit b, so the suffix's reachable set is b's
-  // old row plus b itself.
-  const uint32_t ns = num_shards();
-  std::vector<uint8_t> to_a(ns), from_b(ns);
-  for (uint32_t x = 0; x < ns; ++x) {
-    to_a[x] = (x == a) || QuotientReaches(x, a);
-    from_b[x] = (x == b) || QuotientReaches(b, x);
-  }
-  for (uint32_t x = 0; x < ns; ++x) {
-    if (!to_a[x]) continue;
-    uint8_t* row = &quotient_closure_[static_cast<size_t>(x) * ns];
-    for (uint32_t y = 0; y < ns; ++y) row[y] |= from_b[y];
-  }
 }
 
 void GraphPartition::RemoveCrossEdge(VertexId global_src, Label label,
@@ -194,29 +135,18 @@ void GraphPartition::RemoveCrossEdge(VertexId global_src, Label label,
               "GraphPartition::RemoveCrossEdge: no registered cross edge "
                   << global_src << " -" << label << "-> " << global_dst);
   cross_edges_.erase(tail, cross_edges_.end());
-  RebuildSummary();
+  RebuildBoundary();
 }
 
-void GraphPartition::RebuildSummary() {
-  const uint32_t ns = num_shards();
+void GraphPartition::RebuildBoundary() {
   std::fill(is_boundary_.begin(), is_boundary_.end(), uint8_t{0});
   num_boundary_ = 0;
-  for (ShardInfo& shard : shards_) {
-    shard.boundary.clear();
-    shard.out_cross_labels = LabelMask();
-    shard.in_cross_labels = LabelMask();
-  }
-  std::vector<uint8_t> adj(static_cast<size_t>(ns) * ns, 0);
+  for (ShardInfo& shard : shards_) shard.boundary.clear();
   cross_out_.assign(is_boundary_.size(), {});
   for (const Edge& e : cross_edges_) {
-    const uint32_t a = shard_of_[e.src];
-    const uint32_t b = shard_of_[e.dst];
     is_boundary_[e.src] = 1;
     is_boundary_[e.dst] = 1;
     cross_out_[e.src].push_back({e.dst, e.label});
-    shards_[a].out_cross_labels.Add(e.label);
-    shards_[b].in_cross_labels.Add(e.label);
-    adj[static_cast<size_t>(a) * ns + b] = 1;
   }
   // Boundary lists rebuilt in ascending global id, which is ascending local
   // id per shard — the same order Build produces.
@@ -225,7 +155,6 @@ void GraphPartition::RebuildSummary() {
     ++num_boundary_;
     shards_[shard_of_[v]].boundary.push_back(local_of_[v]);
   }
-  CloseQuotient(adj, ns, quotient_closure_);
 }
 
 uint64_t GraphPartition::MemoryBytes() const {
@@ -243,7 +172,6 @@ uint64_t GraphPartition::MemoryBytes() const {
   }
   bytes += cross_out_.capacity() * sizeof(std::vector<LabeledNeighbor>);
   bytes += is_boundary_.capacity();
-  bytes += quotient_closure_.capacity();
   return bytes;
 }
 

@@ -3,24 +3,13 @@
 // A GraphPartition splits one DiGraph into vertex-disjoint shards. Each
 // shard keeps its intra-shard subgraph, re-labeled with dense local vertex
 // ids, so a full per-shard RlcIndex can be built on it; edges whose
-// endpoints land in different shards become *cross edges* and are
-// summarized instead of indexed:
+// endpoints land in different shards become *cross edges*, which are not
+// indexed: they form the boundary skeleton that cross-shard composition
+// hops over (compose.h):
 //
 //  * boundary vertices — endpoints of cross edges — are flagged globally
 //    and listed per shard;
-//  * per shard, the labels of outgoing and incoming cross edges are folded
-//    into 64-bit presence masks;
-//  * the shard quotient graph (one node per shard, one arc per cross-edge
-//    shard pair) is closed under reachability.
-//
-// Together these form the *boundary summary* the sharded service routes
-// with. It composes cross-shard reachability conservatively but exactly on
-// the refutation side: a path whose label word is L^z and that does not
-// stay inside one shard must (a) leave the source shard over a cross edge
-// whose label occurs in L, (b) enter the target shard the same way, and
-// (c) induce a walk of cross arcs in the quotient graph. When any of these
-// necessary conditions fails, the query is definitively false; otherwise
-// the service falls back to its whole-graph engine (sharded_service.h).
+//  * each vertex's outgoing cross edges form its skeleton adjacency.
 
 #pragma once
 
@@ -54,43 +43,21 @@ struct PartitionerOptions {
   uint64_t order_seed = 0;  ///< tie-break seed for the ordering
 };
 
-/// Conservative 64-bit label-presence set (labels folded modulo 64).
-/// MayContain never reports a false negative, so masks are safe for exact
-/// refutation: "no label of L can be present" implies no such edge exists.
-class LabelMask {
- public:
-  void Add(Label l) { bits_ |= uint64_t{1} << (l & 63); }
-  bool MayContain(Label l) const { return (bits_ >> (l & 63)) & 1; }
-
-  /// True when any label of `labels` may be present.
-  bool MayContainAny(std::span<const Label> labels) const {
-    for (const Label l : labels) {
-      if (MayContain(l)) return true;
-    }
-    return false;
-  }
-
-  bool empty() const { return bits_ == 0; }
-
- private:
-  uint64_t bits_ = 0;
-};
-
-/// One shard: its local-id subgraph plus its slice of the boundary summary.
+/// One shard: its local-id subgraph and its boundary vertices.
 struct ShardInfo {
   DiGraph graph;                    ///< intra-shard edges, local vertex ids
   std::vector<VertexId> global_of;  ///< local id -> global id (ascending)
   std::vector<VertexId> boundary;   ///< local ids of boundary vertices, sorted
-  LabelMask out_cross_labels;       ///< labels on cross edges leaving the shard
-  LabelMask in_cross_labels;        ///< labels on cross edges entering the shard
 };
 
 /// A full partition of one graph: shard subgraphs, the global<->local vertex
-/// id maps, and the boundary summary. Build once, query-side immutable.
+/// id maps, and the cross-edge skeleton. Build once; only AddCrossEdge and
+/// RemoveCrossEdge change it afterwards.
 class GraphPartition {
  public:
-  /// More shards than this is a configuration error (the quotient closure
-  /// is a dense num_shards^2 bitmap).
+  /// More shards than this is a configuration error: every shard owns a
+  /// sealed index, a breaker and per-constraint composition plans, and
+  /// every batch and plan refresh walks all of them.
   static constexpr uint32_t kMaxShards = 4096;
 
   /// An empty zero-shard partition; assign Build()'s result over it.
@@ -117,16 +84,15 @@ class GraphPartition {
   const std::vector<Edge>& cross_edges() const { return cross_edges_; }
 
   /// Registers a newly inserted cross-shard edge (serving-layer updates):
-  /// refreshes the label masks, boundary flags/lists and the quotient
-  /// closure, exactly as if the edge had been present at Build time.
+  /// refreshes the boundary flags/lists and the skeleton adjacency, exactly
+  /// as if the edge had been present at Build time.
   /// \throws std::invalid_argument when both endpoints share a shard.
   void AddCrossEdge(VertexId global_src, Label label, VertexId global_dst);
 
   /// Unregisters a deleted cross-shard edge (all parallel copies of the
-  /// exact triple) and *shrinks* the boundary summary to match: label
-  /// masks, boundary flags/lists and the quotient closure are recomputed
-  /// from the remaining cross edges — masks and closure are monotone folds,
-  /// so removal cannot be patched in place the way AddCrossEdge composes.
+  /// exact triple) and recomputes the boundary flags/lists and the
+  /// skeleton adjacency from the remaining cross edges: an endpoint stays a
+  /// boundary vertex only while another cross edge touches it.
   /// \throws std::invalid_argument when both endpoints share a shard or no
   ///         such cross edge is registered.
   void RemoveCrossEdge(VertexId global_src, Label label, VertexId global_dst);
@@ -142,26 +108,13 @@ class GraphPartition {
     return cross_out_[global];
   }
 
-  /// True when a walk of >= 1 cross edges (with free movement inside each
-  /// intermediate shard) can take shard `a` to shard `b`. For a == b this
-  /// asks for a quotient cycle, i.e. whether a path can leave shard a and
-  /// come back at all.
-  bool QuotientReaches(uint32_t a, uint32_t b) const {
-    return quotient_closure_[static_cast<size_t>(a) * num_shards() + b] != 0;
-  }
-
-  /// Heap footprint of the shard subgraphs, id maps and summary in bytes.
+  /// Heap footprint of the shard subgraphs, id maps and skeleton in bytes.
   uint64_t MemoryBytes() const;
 
  private:
-  /// Recomputes the derived boundary summary (masks, boundary flags/lists,
-  /// quotient closure) from cross_edges_ — the shrink path of
-  /// RemoveCrossEdge.
-  void RebuildSummary();
-
-  /// BFS closure of a shard-quotient adjacency bitmap into `closure`.
-  static void CloseQuotient(const std::vector<uint8_t>& adj, uint32_t ns,
-                            std::vector<uint8_t>& closure);
+  /// Recomputes the boundary flags/lists and the skeleton adjacency from
+  /// cross_edges_ — the shrink path of RemoveCrossEdge.
+  void RebuildBoundary();
 
   PartitionerOptions options_;
   std::vector<ShardInfo> shards_;
@@ -173,7 +126,6 @@ class GraphPartition {
   std::vector<std::vector<LabeledNeighbor>> cross_out_;
   std::vector<uint8_t> is_boundary_; // global vertex -> 0/1
   uint64_t num_boundary_ = 0;
-  std::vector<uint8_t> quotient_closure_;  // num_shards^2, row-major
 };
 
 }  // namespace rlc

@@ -89,8 +89,6 @@ struct AnswerBatch {
   /// kOk on a fault-free run with no deadline.
   std::vector<ProbeStatus> statuses;
   uint64_t num_groups = 0;    ///< index probe groups executed
-  uint64_t num_refuted = 0;   ///< probes refuted by the boundary summary
-                              ///< (sharded executor only)
   uint64_t num_composed = 0;  ///< probes answered by cross-shard composition
                               ///< over the boundary skeleton (sharded
                               ///< executor only)

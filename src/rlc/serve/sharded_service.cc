@@ -21,7 +21,6 @@ ShardedRlcService::ServiceCounters::ServiceCounters(obs::Registry& reg)
     : queries(reg.GetCounter("serve.queries")),
       intra_true(reg.GetCounter("serve.intra_true")),
       intra_miss(reg.GetCounter("serve.intra_miss")),
-      cross_refuted(reg.GetCounter("serve.cross_refuted")),
       compose_probes(reg.GetCounter("serve.compose.probes")),
       compose_skeleton_hops(reg.GetCounter("serve.compose.skeleton_hops")),
       compose_cross_hops(reg.GetCounter("serve.compose.cross_hops")),
@@ -62,7 +61,6 @@ ServiceStats ShardedRlcService::stats() const {
   s.queries = c_.queries.Value();
   s.intra_true = c_.intra_true.Value();
   s.intra_miss = c_.intra_miss.Value();
-  s.cross_refuted = c_.cross_refuted.Value();
   s.compose_probes = c_.compose_probes.Value();
   s.compose_skeleton_hops = c_.compose_skeleton_hops.Value();
   s.compose_table_builds = c_.compose_table_builds.Value();
@@ -244,9 +242,9 @@ uint64_t ShardedRlcService::LoadGeneration(const std::string& gdir) {
     if (!err.empty()) throw std::runtime_error(err);
   }
 
-  // Bookkeeping + boundary summary: the partition was built from the base
-  // graph, so replaying the *net* cross-edge changes reproduces the exact
-  // current cross-edge set (the summaries are a function of it).
+  // Bookkeeping + skeleton: the partition was built from the base graph,
+  // so replaying the *net* cross-edge changes reproduces the exact current
+  // cross-edge set (boundary lists and skeleton are a function of it).
   for (const EdgeUpdate& e : meta.inserted) {
     applied_set_.insert({e.src, e.label, e.dst});
     applied_inserts_.push_back({e.src, e.label, e.dst, EdgeOp::kInsert});
@@ -413,7 +411,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
     kCross,      // endpoints in different shards
     kSameShard,  // same shard; after the kernel pass: a shard miss
     kDegrade,    // no trustworthy shard answer: answered index-free
-    kDone,       // answered, refuted or given a status
+    kDone,       // answered or given a status
   };
   const std::vector<BatchProbe>& probes = batch.probes();
   const auto n = static_cast<uint32_t>(probes.size());
@@ -550,24 +548,13 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
   c_.intra_true.Add(intra_true);
   c_.intra_miss.Add(intra_miss);
 
-  // Routing pass, in submission order. A shard miss or a cross-shard probe
-  // faces boundary refutation. A probe without a trustworthy shard answer
-  // (breaker-open shard, failed job) is answered index-free: boundary
-  // refutation is only sound after the shard index reported a miss —
-  // without that, the witness may sit entirely inside the shard, so the
-  // composed probe also runs the intra product search.
+  // A probe without a trustworthy shard answer (breaker-open shard, failed
+  // job) is answered index-free: without a shard miss the witness may sit
+  // entirely inside the shard, so its composed probe also runs the intra
+  // product search.
   for (uint32_t i = 0; i < n; ++i) {
-    const BatchProbe& p = probes[i];
-    if (route[i] == kDegrade) {
-      ++out.num_degraded;
-    } else if (route[i] != kDone &&
-               RefutedByBoundary(partition_.ShardOf(p.s),
-                                 partition_.ShardOf(p.t), seqs[p.seq_id])) {
-      route[i] = kDone;
-      ++out.num_refuted;
-    }
+    if (route[i] == kDegrade) ++out.num_degraded;
   }
-  c_.cross_refuted.Add(out.num_refuted);
   if (out.num_degraded > 0) c_.breaker_degraded.Add(out.num_degraded);
   if (metrics_on) h_.route_ns.Record(obs::NowNanos() - t_shard_done);
 
@@ -602,6 +589,7 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
     const size_t plan_cap =
         std::max<size_t>(size_t{1}, compose_->options().max_cached_plans);
     std::vector<const CompositionEngine::Plan*> plans(num_seqs, nullptr);
+    std::vector<uint64_t> per_shard;
     uint32_t seq_begin = 0;
     while (start[seq_begin] < pending_total) {
       // A round is the next plan_cap sequences with pending probes: one
@@ -629,8 +617,12 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
       seq_begin = seq_end;
       // Attributed here, with compose_probes: only probes the compose
       // breaker admitted count against their source shard.
+      per_shard.assign(partition_.num_shards(), 0);
       for (uint32_t k = round_begin; k < round_end; ++k) {
-        shard_compose_[partition_.ShardOf(probes[order[k]].s)]->Inc();
+        ++per_shard[partition_.ShardOf(probes[order[k]].s)];
+      }
+      for (uint32_t shard = 0; shard < per_shard.size(); ++shard) {
+        if (per_shard[shard] > 0) shard_compose_[shard]->Add(per_shard[shard]);
       }
       c_.compose_probes.Add(round_end - round_begin);
       out.num_composed += round_end - round_begin;

@@ -3,26 +3,23 @@
 //
 // A ShardedRlcService partitions its graph (partitioner.h), builds one
 // sealed per-shard RlcIndex — shard builds run in parallel on the shared
-// worker pool — and routes probes in three exact steps:
+// worker pool — and routes probes in two exact steps:
 //
 //  1. intra-shard probe: when s and t land in the same shard, the shard
 //     index is probed first. The shard graph is a subgraph of G, so a hit
 //     is definitive; a miss is not (the witness path may detour through
 //     another shard) and continues with step 2.
-//  2. boundary refutation: a path that crosses shards must leave the
-//     source shard over a cross edge labeled with a label of L, enter the
-//     target shard the same way, and induce a walk in the shard quotient
-//     graph. Each is a necessary condition, so a failed check answers
-//     exactly false from the boundary summary alone.
-//  3. composition: the remaining probes are answered by composing
-//     source-shard suffix -> boundary-skeleton hops -> target-shard prefix
-//     over the partition's cross-edge skeleton, with per-(shard,
-//     constraint) boundary transition tables as the intra-shard closure
-//     oracle (compose.h). There is no whole-graph fallback tier: the
+//  2. composition: shard misses and cross-shard probes are answered by
+//     composing source-shard suffix -> boundary-skeleton hops ->
+//     target-shard prefix over the partition's cross-edge skeleton, with
+//     per-(shard, constraint) boundary transition tables as the
+//     intra-shard closure oracle (compose.h). A probe whose source shard
+//     has no label-matched way out is false as soon as composition's
+//     source walk finds none. There is no whole-graph fallback tier: the
 //     aggregate index footprint is the sum of the shard indexes, and
 //     composed answers are exact by construction.
 //
-// All three steps preserve exactness: answers are bit-identical to a
+// Both steps preserve exactness: answers are bit-identical to a
 // whole-graph RlcIndex for every probe (tests/serving_test.cc,
 // tests/composition_test.cc sweep policies x shard counts).
 //
@@ -37,16 +34,15 @@
 //
 // The service also accepts live edge inserts and deletes (ApplyUpdates):
 // intra-shard edges go to the owning shard's dynamically maintained index
-// (dynamic_index.h), cross-shard edges refresh the boundary summary —
-// AddCrossEdge grows it in place, RemoveCrossEdge shrinks it by a
-// recompute — and the composition engine is told which shards' transition
-// tables went stale (they refresh lazily on the next probe that needs
-// them), so answers stay exact on the mutated graph. Each shard index
-// reseals independently under ServiceOptions::reseal, inline inside the
-// ApplyUpdates call whose mutation crossed the threshold, so two services
-// fed the same updates hold the same bytes. Reseals do not invalidate
-// composition state (the tables are a function of the graph, not the
-// index).
+// (dynamic_index.h), cross-shard edges refresh the partition's boundary
+// lists and skeleton (AddCrossEdge, RemoveCrossEdge) — and the composition
+// engine is told which shards' transition tables went stale (they refresh
+// lazily on the next probe that needs them), so answers stay exact on the
+// mutated graph. Each shard index reseals independently under
+// ServiceOptions::reseal, inline inside the ApplyUpdates call whose
+// mutation crossed the threshold, so two services fed the same updates
+// hold the same bytes. Reseals do not invalidate composition state (the
+// tables are a function of the graph, not the index).
 //
 // When a shard's breaker is open (or its probe faults), same-shard probes
 // cannot trust the shard index — and no whole-graph index exists to detour
@@ -165,15 +161,14 @@ struct ExecuteLimits {
 /// service is quiescent; jobs running on the execution pool update the
 /// underlying counters atomically.
 ///
-/// Fault-free invariant: queries == intra_true + cross_refuted +
-/// compose_probes (every probe ends in exactly one of the three tiers;
-/// degraded probes are composed probes).
+/// Fault-free invariant: queries == intra_true + compose_probes (every
+/// probe ends in exactly one of the two tiers; degraded probes are
+/// composed probes).
 struct ServiceStats {
   uint64_t queries = 0;          ///< probes admitted by Execute (a Query
                                  ///< call is one probe)
   uint64_t intra_true = 0;       ///< answered true by a shard index alone
   uint64_t intra_miss = 0;       ///< same-shard probes the shard index missed
-  uint64_t cross_refuted = 0;    ///< answered false by the boundary summary
   uint64_t compose_probes = 0;   ///< answered by cross-shard composition
                                  ///< (degraded index-free probes included)
   uint64_t compose_skeleton_hops = 0;  ///< boundary product states popped
@@ -185,6 +180,7 @@ struct ServiceStats {
   uint64_t compose_expanded = 0;       ///< product states expanded on the fly
   // Always 0. They stay until the benchmark change that drops perfbench's
   // reads of them (ROADMAP item 6).
+  uint64_t cross_refuted = 0;
   uint64_t frontier_hits = 0;
   uint64_t frontier_misses = 0;
   uint64_t frontier_evictions = 0;
@@ -351,15 +347,6 @@ class ShardedRlcService {
 
   const SeqEntry& Resolve(const LabelSeq& seq);
 
-  /// True when the boundary summary proves no cross-shard witness path can
-  /// exist for a probe from shard `ss` to shard `st`.
-  bool RefutedByBoundary(uint32_t ss, uint32_t st,
-                         const LabelSeq& seq) const {
-    return !partition_.QuotientReaches(ss, st) ||
-           !partition_.shard(ss).out_cross_labels.MayContainAny(seq.labels()) ||
-           !partition_.shard(st).in_cross_labels.MayContainAny(seq.labels());
-  }
-
   /// One breaker plus its exported state gauge.
   struct BreakerSlot {
     CircuitBreaker breaker;
@@ -421,7 +408,6 @@ class ShardedRlcService {
     obs::Counter& queries;
     obs::Counter& intra_true;
     obs::Counter& intra_miss;
-    obs::Counter& cross_refuted;
     obs::Counter& compose_probes;        ///< serve.compose.probes
     obs::Counter& compose_skeleton_hops; ///< serve.compose.skeleton_hops
     obs::Counter& compose_cross_hops;    ///< serve.compose.cross_hops

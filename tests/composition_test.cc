@@ -165,8 +165,7 @@ void RunCell(const DiGraph& g, const RlcIndex& oracle, bool use_signatures,
 
   // Routing is total: every scalar probe terminated in exactly one tier.
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.queries,
-            stats.intra_true + stats.cross_refuted + stats.compose_probes);
+  EXPECT_EQ(stats.queries, stats.intra_true + stats.compose_probes);
 }
 
 void RunSweep(const DiGraph& g, uint64_t seed) {
@@ -992,6 +991,75 @@ TEST(LazyHopTest, SameShardIntraOnlyWitnessStaysFalse) {
     EXPECT_FALSE(h.Probe(0, 2).reachable);
     EXPECT_TRUE(h.Probe(0, 2, true).reachable);
     EXPECT_TRUE(h.Probe(0, 3).reachable);
+  }
+}
+
+TEST(SourceWalkTest, ExitsWithoutMatchedCrossEdgeSkipPhaseTwo) {
+  // Shard 0 is a table shard whose one boundary vertex 1 leaves only over
+  // 1 -b-> 4. 4 -a-> 1 lets a probe from 4 build the row of (1, 0); 6 -a->
+  // 5 gives the reverse walk from (5, 0) a second state.
+  const std::vector<Edge> edges = {
+      {0, 1, kA}, {1, 4, kB}, {4, 1, kA}, {6, 5, kA}};
+  const DiGraph g(8, edges, 2);
+  const EngineParts parts = MakeParts(g, 2, PartitionPolicy::kRange);
+  ASSERT_EQ(parts.partition.ShardOf(1), 0u);
+  ASSERT_EQ(parts.partition.ShardOf(4), 1u);
+  CompositionEngine engine(parts.partition, parts.shards, ComposeOptions{});
+  const LabelSeq seq{kA};
+  const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
+  ASSERT_TRUE(plan.shards[0]->tables);
+  CompositionEngine::Scratch scratch;
+  const RlcIndex oracle = BuildSealed(g, 2);
+
+  const ComposeResult warm = engine.ComposedQuery(4, 0, plan, scratch);
+  EXPECT_FALSE(warm.reachable);
+  EXPECT_EQ(warm.table_rows_built, 1u);
+  ASSERT_NE(plan.shards[0]->Row(0), nullptr);
+
+  // Phase 1 expands (0, 0), reaches (1, 0) and scans its built row: one
+  // exit word, whose only state has no label-matched cross edge. The probe
+  // is false with phase 1's two states expanded and no reverse walk.
+  const ComposeResult r = engine.ComposedQuery(0, 5, plan, scratch);
+  EXPECT_FALSE(r.reachable);
+  EXPECT_EQ(r.reachable, oracle.Query(0, 5, seq));
+  EXPECT_EQ(r.expanded, 2u);
+  EXPECT_EQ(r.cross_hops, 0u);
+  EXPECT_EQ(r.skeleton_hops, 0u);
+
+  for (VertexId s = 0; s < 8; ++s) {
+    for (VertexId t = 0; t < 8; ++t) {
+      EXPECT_EQ(engine.ComposedQuery(s, t, plan, scratch).reachable,
+                CrossWitness(8, edges, parts.partition, s, t, seq))
+          << "s=" << s << " t=" << t;
+      EXPECT_EQ(engine.ComposedQuery(s, t, plan, scratch, Deadline{}, true)
+                    .reachable,
+                oracle.Query(s, t, seq))
+          << "need_intra s=" << s << " t=" << t;
+    }
+  }
+}
+
+TEST(SourceWalkTest, ShardWithoutBoundaryWalksNothing) {
+  // One shard: no cross edge, so only need_intra probes walk at all.
+  const std::vector<Edge> edges = {{0, 1, kA}, {1, 2, kA}, {2, 0, kB}};
+  const DiGraph g(4, edges, 2);
+  const EngineParts parts = MakeParts(g, 1, PartitionPolicy::kHash);
+  ASSERT_TRUE(parts.partition.shard(0).boundary.empty());
+  CompositionEngine engine(parts.partition, parts.shards, ComposeOptions{});
+  const LabelSeq seq{kA};
+  const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
+  CompositionEngine::Scratch scratch;
+  const RlcIndex oracle = BuildSealed(g, 2);
+  for (VertexId s = 0; s < 4; ++s) {
+    for (VertexId t = 0; t < 4; ++t) {
+      const ComposeResult r = engine.ComposedQuery(s, t, plan, scratch);
+      EXPECT_FALSE(r.reachable);
+      EXPECT_EQ(r.expanded, 0u);
+      EXPECT_EQ(engine.ComposedQuery(s, t, plan, scratch, Deadline{}, true)
+                    .reachable,
+                oracle.Query(s, t, seq))
+          << "need_intra s=" << s << " t=" << t;
+    }
   }
 }
 

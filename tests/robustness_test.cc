@@ -784,7 +784,6 @@ std::map<std::string, uint64_t> TierCounts(const ServiceStats& s) {
   return {{"queries", s.queries},
           {"intra_true", s.intra_true},
           {"intra_miss", s.intra_miss},
-          {"cross_refuted", s.cross_refuted},
           {"compose_probes", s.compose_probes},
           {"breaker_degraded", s.breaker_degraded},
           {"breaker_fail_fast", s.breaker_fail_fast},
@@ -820,7 +819,7 @@ std::vector<LabelSeq> AllConstraints(Label labels) {
 }
 
 /// Mixed traffic: random probes, half of them with both endpoints in one
-/// shard (intra hits and misses, cross-shard refuted and composed probes),
+/// shard (intra hits and misses, composed probes on both sides),
 /// plus same-shard probes under a constraint their shard never recorded.
 QueryBatch MixedTraffic(const ShardedRlcService& service, const DiGraph& g,
                         uint64_t seed) {
@@ -917,7 +916,7 @@ constexpr uint64_t kFarBackoffNs = 60ull * 1'000'000'000;
 
 /// A planted-partition graph over a locality-preserving partition: same-
 /// shard probes hit often, and the rare labels cross few shard borders, so
-/// boundary refutation fires.
+/// many composed probes find no label-matched way out of their shard.
 DiGraph DifferentialGraph() {
   Rng rng(41);
   auto edges = PlantedPartitionEdges(180, 720, 3, 0.95, rng);
@@ -941,10 +940,8 @@ TEST(QueryExecuteDifferentialTest, HealthyServiceAgreesWithOracle) {
   // The traffic covers every routing tier.
   EXPECT_GT(delta.at("intra_true"), 0u);
   EXPECT_GT(delta.at("intra_miss"), 0u);
-  EXPECT_GT(delta.at("cross_refuted"), 0u);
   EXPECT_GT(delta.at("compose_probes"), 0u);
-  EXPECT_EQ(delta.at("intra_true") + delta.at("cross_refuted") +
-                delta.at("compose_probes"),
+  EXPECT_EQ(delta.at("intra_true") + delta.at("compose_probes"),
             traffic.num_probes());
   for (const BatchProbe& p : traffic.probes()) {
     const LabelSeq& seq = traffic.sequence(p.seq_id);
@@ -1013,7 +1010,7 @@ TEST(QueryExecuteDifferentialTest, ComposeBreakerOpen) {
   const auto delta = ExpectQueryMatchesExecute(scalar, batched, traffic);
   EXPECT_GT(delta.at("breaker_fail_fast"), 0u);
   EXPECT_EQ(delta.at("compose_probes"), 0u);
-  EXPECT_GT(delta.at("intra_true") + delta.at("cross_refuted"), 0u);
+  EXPECT_GT(delta.at("intra_true"), 0u);
   ExpectQueryNamesStatus(scalar, batched, traffic,
                          ProbeStatus::kShardUnavailable);
 }

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -121,14 +123,11 @@ TEST(PartitionerTest, StructuralInvariants) {
     }
     EXPECT_EQ(intra + p.cross_edges().size(), g.num_edges());
 
-    // Boundary flags match the cross edges, masks cover their labels.
+    // Boundary flags match the cross edges.
     std::vector<uint8_t> expect_boundary(g.num_vertices(), 0);
     for (const Edge& e : p.cross_edges()) {
       EXPECT_NE(p.ShardOf(e.src), p.ShardOf(e.dst));
       expect_boundary[e.src] = expect_boundary[e.dst] = 1;
-      EXPECT_TRUE(p.shard(p.ShardOf(e.src)).out_cross_labels.MayContain(e.label));
-      EXPECT_TRUE(p.shard(p.ShardOf(e.dst)).in_cross_labels.MayContain(e.label));
-      EXPECT_TRUE(p.QuotientReaches(p.ShardOf(e.src), p.ShardOf(e.dst)));
     }
     uint64_t boundary = 0;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -146,8 +145,74 @@ TEST(PartitionerTest, SingleShardHasNoBoundary) {
   const GraphPartition p = GraphPartition::Build(g, options);
   EXPECT_EQ(p.cross_edges().size(), 0u);
   EXPECT_EQ(p.num_boundary_vertices(), 0u);
-  EXPECT_FALSE(p.QuotientReaches(0, 0));
+  EXPECT_TRUE(p.shard(0).boundary.empty());
   EXPECT_EQ(p.shard(0).graph.num_edges(), g.num_edges());
+}
+
+/// The partition's skeleton view equals a fresh Build's: boundary flags,
+/// per-shard boundary lists and count, and each vertex's outgoing cross
+/// edges (in any order: registered edges append).
+void ExpectSameSkeleton(const GraphPartition& got, const GraphPartition& want,
+                        VertexId n) {
+  ASSERT_EQ(got.num_shards(), want.num_shards());
+  EXPECT_EQ(got.num_boundary_vertices(), want.num_boundary_vertices());
+  for (uint32_t s = 0; s < want.num_shards(); ++s) {
+    EXPECT_EQ(got.shard(s).boundary, want.shard(s).boundary) << "shard " << s;
+  }
+  const auto sorted = [](std::span<const LabeledNeighbor> adj) {
+    std::vector<LabeledNeighbor> v(adj.begin(), adj.end());
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  for (VertexId v = 0; v < n; ++v) {
+    EXPECT_EQ(got.IsBoundary(v), want.IsBoundary(v)) << "v=" << v;
+    EXPECT_EQ(sorted(got.CrossOutEdges(v)), sorted(want.CrossOutEdges(v)))
+        << "v=" << v;
+  }
+}
+
+TEST(PartitionerTest, CrossEdgeUpdatesMatchRebuild) {
+  // kHash assigns shards from vertex ids alone, so Build on the mutated
+  // graph puts every vertex where the updated partition has it.
+  constexpr VertexId kN = 90;
+  constexpr Label kLabels = 3;
+  const DiGraph g = RandomGraph(kN, 320, kLabels, 17);
+  PartitionerOptions options;
+  options.num_shards = 4;
+  options.policy = PartitionPolicy::kHash;
+  GraphPartition p = GraphPartition::Build(g, options);
+  std::set<Edge> edges;
+  for (const Edge& e : g.ToEdgeList()) edges.insert(e);
+
+  Rng rng(18);
+  uint32_t added = 0, removed = 0;
+  for (int step = 1; step <= 240; ++step) {
+    if (rng.Below(2) == 0 || p.cross_edges().empty()) {
+      const Edge e{static_cast<VertexId>(rng.Below(kN)),
+                   static_cast<VertexId>(rng.Below(kN)),
+                   static_cast<Label>(rng.Below(kLabels))};
+      if (p.ShardOf(e.src) == p.ShardOf(e.dst) || edges.count(e) != 0) {
+        continue;
+      }
+      p.AddCrossEdge(e.src, e.label, e.dst);
+      edges.insert(e);
+      ++added;
+    } else {
+      const Edge e = p.cross_edges()[rng.Below(p.cross_edges().size())];
+      p.RemoveCrossEdge(e.src, e.label, e.dst);
+      edges.erase(e);
+      ++removed;
+    }
+    if (step % 40 == 0) {
+      SCOPED_TRACE("step=" + std::to_string(step));
+      const DiGraph mutated(kN, std::vector<Edge>(edges.begin(), edges.end()),
+                            kLabels);
+      ExpectSameSkeleton(p, GraphPartition::Build(mutated, options), kN);
+    }
+  }
+  EXPECT_GT(added, 20u);
+  EXPECT_GT(removed, 20u);
+  EXPECT_THROW(p.AddCrossEdge(0, 0, 0), std::invalid_argument);
 }
 
 TEST(PartitionerTest, RejectsBadShardCounts) {
@@ -225,8 +290,6 @@ TEST(ServingTest, ParallelExecuteMatchesForEveryThreadCount) {
         // Deterministic routing: telemetry equal across thread counts.
         EXPECT_EQ(reference_stats.intra_true, service.stats().intra_true);
         EXPECT_EQ(reference_stats.intra_miss, service.stats().intra_miss);
-        EXPECT_EQ(reference_stats.cross_refuted,
-                  service.stats().cross_refuted);
         EXPECT_EQ(reference_stats.compose_probes,
                   service.stats().compose_probes);
         EXPECT_EQ(reference_stats.compose_skeleton_hops,
@@ -286,21 +349,20 @@ TEST(ServingTest, RangeOrderedPolicyMatches) {
   }
 }
 
-TEST(ServingTest, BoundaryRefutationIsExact) {
-  // Two range shards joined by a single label-0 cross edge: a (1)+ query
-  // across shards is refutable from the label masks alone, and the stats
-  // must show it never reached the composition engine.
+TEST(ServingTest, UnmatchedCrossLabelComposesToFalse) {
+  // Two range shards joined by a single label-0 cross edge: a (1)+ probe
+  // across shards has no label-matched way out of shard 0, and composition
+  // answers it false. The (0)+ probe is false too: 0 has no label-0 edge.
   std::vector<Edge> edges = {{0, 1, 1}, {1, 2, 1}, {2, 3, 0},
                              {3, 4, 1}, {4, 5, 1}};
   const DiGraph g(6, std::move(edges), 2);
   ShardedRlcService service(g, Opts(2, PartitionPolicy::kRange));
+  ASSERT_NE(service.partition().ShardOf(0), service.partition().ShardOf(4));
   EXPECT_FALSE(service.Query(0, 4, LabelSeq{1}));
-  EXPECT_EQ(service.stats().cross_refuted, 1u);
-  EXPECT_EQ(service.stats().compose_probes, 0u);
-  // The label-0 cross query must not be refuted by the masks (it is the
-  // one label that does cross) and resolves via composition.
-  EXPECT_FALSE(service.Query(0, 4, LabelSeq{0}));
   EXPECT_EQ(service.stats().compose_probes, 1u);
+  EXPECT_EQ(service.stats().cross_refuted, 0u);
+  EXPECT_FALSE(service.Query(0, 4, LabelSeq{0}));
+  EXPECT_EQ(service.stats().compose_probes, 2u);
 }
 
 TEST(ServingTest, StatsAccountForEveryProbe) {
@@ -322,8 +384,7 @@ TEST(ServingTest, StatsAccountForEveryProbe) {
   // Each Query is a one-probe batch: 300 of them plus the Execute.
   EXPECT_EQ(stats.batches, 301u);
   // Every probe ends in exactly one terminal bucket.
-  EXPECT_EQ(stats.queries,
-            stats.intra_true + stats.cross_refuted + stats.compose_probes);
+  EXPECT_EQ(stats.queries, stats.intra_true + stats.compose_probes);
   // Misses are the subset of same-shard probes that continued past step 1.
   EXPECT_LE(stats.intra_true, stats.queries);
 }
@@ -667,7 +728,7 @@ TEST(ServingTest, RoutingIsStableAcrossFirstUpdate) {
     for (const RlcQuery& q : probes) service.Query(q.s, q.t, q.constraint);
     const ServiceStats& after = service.stats();
     return std::tuple(after.intra_true - before.intra_true,
-                      after.cross_refuted - before.cross_refuted,
+                      after.intra_miss - before.intra_miss,
                       after.compose_probes - before.compose_probes);
   };
   const auto before_update = run_probes();
